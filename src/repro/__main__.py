@@ -392,18 +392,7 @@ def cmd_campaign(args) -> int:
 def cmd_explore(args) -> int:
     from repro.analysis import explore_protocol
     from repro.campaign import explore_campaign
-    from repro.protocols import (
-        AnonymousSweepConsensus,
-        CASConsensus,
-        KSetAgreementTask,
-        LargeRegisterEmulation,
-        MinSeen,
-        RacingConsensus,
-        RegularRegisterTask,
-        SwapConsensus,
-        TASConsensus,
-        TruncatedProtocol,
-    )
+    from repro.protocols.scenarios import SCENARIOS
 
     if args.workers is not None and args.workers < 1:
         print(f"error: --workers must be >= 1, got {args.workers}",
@@ -425,46 +414,6 @@ def cmd_explore(args) -> int:
     checkpoint, resume, retry = resolved
     _notice_fresh_resume(checkpoint, resume)
 
-    scenarios = {
-        # name: (protocol, inputs, task, expect_safe)
-        "truncated": (
-            TruncatedProtocol(RacingConsensus(3), 1), [0, 1, 2],
-            KSetAgreementTask(1), False,
-        ),
-        "racing": (
-            RacingConsensus(2), [0, 1], KSetAgreementTask(1), True,
-        ),
-        "minseen": (
-            MinSeen(2), [0, 1], KSetAgreementTask(2), True,
-        ),
-        # Genuinely unsafe at m < n: the checker finds (and the runtime
-        # replays) a two-value decision, the covering-attack frontier
-        # the anonymous module's docstring describes.
-        "anonymous": (
-            AnonymousSweepConsensus(3, m=2), [0, 1, 1],
-            KSetAgreementTask(1), False,
-        ),
-        # Base-object scenarios: a single swap cell solves consensus for
-        # n=2 but not n=3 (the third process can adopt a chained-out
-        # value); one test-and-set bit plus posted proposals likewise
-        # break at n=3; compare-and-swap has infinite consensus number,
-        # so its scenario is expected safe.
-        "swap": (
-            SwapConsensus(3), [0, 1, 2], KSetAgreementTask(1), False,
-        ),
-        "cas": (
-            CASConsensus(3), [0, 1, 2], KSetAgreementTask(1), True,
-        ),
-        "tas": (
-            TASConsensus(3), [0, 1, 2], KSetAgreementTask(1), False,
-        ),
-        # The deliberately broken clear-then-set sweep order: some
-        # reader/writer interleaving sees no set bit at all.
-        "large-register": (
-            LargeRegisterEmulation(3, (2,), safe=False), [0, 0],
-            RegularRegisterTask(3, (2,)), False,
-        ),
-    }
     if args.base_object is not None:
         if args.scenario is not None:
             print("error: give --scenario or --base-object, not both",
@@ -473,7 +422,7 @@ def cmd_explore(args) -> int:
         scenario = BASE_OBJECT_SCENARIOS[args.base_object]
     else:
         scenario = args.scenario or "truncated"
-    protocol, inputs, task, expect_safe = scenarios[scenario]
+    protocol, inputs, task, expect_safe = SCENARIOS[scenario]()
 
     result = explore_campaign(
         protocol, inputs, task,
@@ -490,7 +439,7 @@ def cmd_explore(args) -> int:
         mode += ", symmetry-reduced"
     if args.verify_certificates:
         mode += ", certificate-gated"
-    print(f"exploring {protocol.name} on inputs {inputs} "
+    print(f"exploring {protocol.name} on inputs {list(inputs)} "
           f"(prefix depth {args.prefix_depth}{mode}):")
     print(f"   {result.report.summary()}")
     print(f"   {result.telemetry.summary()}")
@@ -553,6 +502,8 @@ def _add_fault_tolerance_args(subparser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.protocols.scenarios import SCENARIOS
+
     # prog matches the installed console-script entry point (setup.cfg:
     # ``repro = repro.__main__:main``) so help text, docs, and the
     # ``python -m repro`` spelling all name the same command.
@@ -627,10 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explore.add_argument(
         "--scenario",
-        choices=[
-            "truncated", "racing", "minseen", "anonymous",
-            "swap", "cas", "tas", "large-register",
-        ],
+        choices=list(SCENARIOS),
         default=None,
         help="named scenario to explore (default: truncated)",
     )

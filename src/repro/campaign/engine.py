@@ -1,49 +1,48 @@
-"""The fault-tolerant parallel campaign executor.
+"""The blocking campaign executor.
 
-:func:`run_campaign` shards a job's unit range into chunks
-(:mod:`repro.campaign.partition`), executes the chunks on a
-``multiprocessing`` worker pool, and folds the partial reports back into
-one with the report class's associative ``merge()`` — always in ascending
-chunk order, so even dictionary insertion order in the merged report
-matches a serial run and the result is byte-identical regardless of
-which worker finished first.
+:func:`run_campaign` builds one
+:class:`~repro.campaign.pump.CampaignPump` for a job and drains it on
+the calling thread: chunks run on a ``multiprocessing`` worker pool when
+one is usable, in-process otherwise, and the pump folds the partial
+reports back into one with the report class's associative ``merge()``
+— always in ascending chunk order, so the result is byte-identical
+regardless of worker count or which worker finished first.
 
-The engine survives the failures a long campaign actually meets:
+The pump owns everything that makes a long campaign survivable — retry
+with deterministic backoff (:class:`~repro.campaign.faults.RetryPolicy`),
+crash-safe checkpoint journaling and exact resume
+(:mod:`repro.campaign.checkpoint`), graceful degradation to a partial
+result naming the missing unit ranges (``strict=True`` upgrades it to a
+:class:`~repro.errors.CampaignError`), and the certificate gate.  This
+module only decides where chunk attempts run and how to wait:
 
-* **Retry with backoff.**  A chunk whose attempt raises or times out is
-  re-dispatched under a :class:`~repro.campaign.faults.RetryPolicy`
-  (bounded retries, exponential backoff with deterministic jitter) —
-  a worker exception is a *chunk* problem, never campaign-fatal.
-* **Crash-safe checkpoints.**  With ``checkpoint=<path>``, every
-  completed chunk report is journaled atomically
-  (:mod:`repro.campaign.checkpoint`); ``resume=True`` replays the
-  journal, skips finished chunks, and merges to a report identical to
-  an uninterrupted run (the monoid merge makes this exact, not
-  approximate).
-* **Graceful degradation.**  A chunk that exhausts its retries is
-  recorded as a :class:`~repro.campaign.telemetry.ChunkFailure`; the
-  campaign still completes, and the result's summary names exactly
-  which unit ranges are missing.  ``strict=True`` upgrades that to a
-  :class:`~repro.errors.CampaignError`.
-* **Deterministic fault injection.**  A
-  :class:`~repro.campaign.faults.FaultPlan` injects crash/hang/slow/
-  flaky faults at named chunk indices on both execution paths — the
-  seam the chaos suite (tests/campaign/test_chaos.py) drives.
+* **Pool drain.**  Ready attempts go to a process pool as soon as the
+  pump hands them out, so backoff overlaps other chunks; each attempt
+  gets a real-time :attr:`RetryPolicy.timeout`, enforced here because
+  only real time passes while a worker hangs.
+* **In-process drain.**  Attempts run on the calling thread; a failed
+  attempt backs off on the pump's clock right away and retries in
+  place.  Tests inject a :class:`~repro.campaign.faults.FakeClock` and
+  never block.
 
-Execution still degrades gracefully at the platform level: ``workers=1``,
-an empty campaign, an unpicklable job, or a platform without usable
-process pools all take the in-process path, which runs the identical
-chunk/retry/merge pipeline on the calling thread.  Timing telemetry for
-either path is collected in a
+``workers=1``, a single chunk, an unpicklable job or fault plan, and a
+platform without usable process pools all take the in-process drain;
+a pool that dies mid-run hands its unfinished attempts back to the pump
+and the campaign finishes in-process.  A
+:class:`~repro.campaign.faults.FaultPlan` injects the same faults on
+both drains — the seam the chaos suite (tests/campaign/test_chaos.py)
+drives.  Timing telemetry lives in a
 :class:`~repro.campaign.telemetry.CampaignTelemetry` alongside — never
 inside — the merged report.
 """
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
+import os
 import pickle
+import signal
+import threading
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -52,14 +51,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.campaign.faults import (
     CampaignKilled,
@@ -67,7 +59,6 @@ from repro.campaign.faults import (
     Clock,
     FaultPlan,
     RetryPolicy,
-    SystemClock,
 )
 from repro.campaign.jobs import (
     ExploreJob,
@@ -75,18 +66,11 @@ from repro.campaign.jobs import (
     SweepProtocolJob,
     SweepSimulationJob,
 )
-from repro.campaign.pump import (
-    _ChunkOutcomes,
-    _tag_mode,
-    execute_chunk,
-    merge_campaign,
-    prepare_campaign,
-)
+from repro.campaign.pump import CampaignPump, ChunkTask, execute_chunk
 from repro.campaign.telemetry import (
     CampaignTelemetry,
     ChunkFailure,
 )
-from repro.errors import CampaignError
 
 
 @dataclass
@@ -140,157 +124,146 @@ def _pool_context() -> "multiprocessing.context.BaseContext":
     return multiprocessing.get_context()
 
 
-def _run_chunks_pooled(
-    job: Any,
-    chunks: Sequence[Tuple[int, int]],
-    remaining: Sequence[int],
-    workers: int,
-    outcomes: _ChunkOutcomes,
-    faults: Optional[FaultPlan],
-) -> str:
-    """Execute ``remaining`` chunks on a process pool with retry/timeout.
+#: Seconds between a pool worker's checks that its parent still lives.
+_PARENT_CHECK_INTERVAL = 1.0
 
-    Failed or timed-out attempts are re-dispatched after their backoff
-    delay (real wall clock — fake clocks only pace the in-process
-    path); attempts that exhaust the budget land in
-    ``outcomes.failures``.  Raises only on infrastructure failures
-    (pool construction, a broken executor) or an injected
-    :class:`CampaignKilled` — the caller handles both.  Returns the
-    mode tag.
+
+def _init_worker(parent: int) -> None:
+    """Pool worker initializer: answer SIGTERM, and die with the parent.
+
+    A forked worker inherits the parent's signal handlers — under
+    ``repro serve``, asyncio's, which swallow SIGTERM — and nothing
+    tells it to exit if the parent is SIGKILLed: it would sleep forever,
+    holding the parent's stdout pipe open.  A daemon thread exits the
+    worker once it has been re-parented.
     """
-    context = _pool_context()
-    retry = outcomes.retry
-    clock = SystemClock()
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_CHECK_INTERVAL)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers cannot outlive this process.
+
+    The one pool constructor of the batch engine and the job service.
+    """
+    return ProcessPoolExecutor(
+        max_workers=workers, mp_context=_pool_context(),
+        initializer=_init_worker, initargs=(os.getpid(),),
+    )
+
+
+def _drain_pooled(
+    pump: CampaignPump, workers: int, faults: Optional[FaultPlan]
+) -> str:
+    """Drain ``pump`` on a process pool; returns the mode tag.
+
+    Every ready attempt is submitted at once and gets a real-time
+    deadline of ``retry.timeout`` from submission; a breach fails the
+    attempt with :class:`ChunkTimeout`.  Raises only on pool
+    infrastructure failures (construction, a broken executor) or an
+    injected :class:`CampaignKilled`.
+    """
+    timeout = pump.retry.timeout
+    pool = _worker_pool(workers)
+    inflight: Dict[Any, Tuple[ChunkTask, Optional[float]]] = {}
     abandoned = 0
     try:
-        inflight: Dict[Any, Tuple[int, int, Optional[float]]] = {}
-        ready: List[Tuple[float, int, int]] = []
+        while not pump.done:
+            task = pump.next_chunk()
+            while task is not None:
+                future = pool.submit(
+                    execute_chunk, pump.job, task.index, task.start,
+                    task.stop, task.attempt, faults,
+                )
+                inflight[future] = (task, None if timeout is None
+                                    else time.monotonic() + timeout)
+                task = pump.next_chunk()
 
-        def submit(index: int, attempt: int) -> None:
-            start, stop = chunks[index]
-            future = pool.submit(
-                execute_chunk, job, index, start, stop, attempt, faults
-            )
-            deadline = (
-                clock.now() + retry.timeout
-                if retry.timeout is not None else None
-            )
-            inflight[future] = (index, attempt, deadline)
-
-        for index in remaining:
-            submit(index, 0)
-
-        while inflight or ready:
-            now = clock.now()
-            while ready and ready[0][0] <= now:
-                _, index, attempt = heapq.heappop(ready)
-                submit(index, attempt)
+            waits = [deadline - time.monotonic()
+                     for _, deadline in inflight.values()
+                     if deadline is not None]
+            ready_at = pump.next_ready_at()
+            if ready_at is not None:
+                waits.append(ready_at - pump.clock.now())
+            pause = max(0.0, min(waits)) if waits else None
             if not inflight:
-                clock.sleep(max(0.0, ready[0][0] - clock.now()))
+                pump.clock.sleep(pause)
                 continue
 
-            timeout = max(0.0, ready[0][0] - now) if ready else None
-            deadlines = [
-                deadline for (_, _, deadline) in inflight.values()
-                if deadline is not None
-            ]
-            if deadlines:
-                until_deadline = max(0.0, min(deadlines) - now)
-                timeout = (
-                    until_deadline if timeout is None
-                    else min(timeout, until_deadline)
-                )
-            done, _ = wait(
-                set(inflight), timeout=timeout,
-                return_when=FIRST_COMPLETED,
-            )
+            done, _ = wait(inflight, timeout=pause,
+                           return_when=FIRST_COMPLETED)
             for future in done:
-                index, attempt, _deadline = inflight.pop(future)
-                try:
-                    _index, report, stats = future.result()
-                    outcomes.verify_chunk(report)
-                except CampaignKilled:
-                    raise
-                except BrokenExecutor:
-                    raise
-                except Exception as error:
-                    if outcomes.fail(index, attempt, error):
-                        heapq.heappush(ready, (
-                            clock.now()
-                            + retry.delay_before(index, attempt + 1),
-                            index, attempt + 1,
-                        ))
+                error = future.exception()
+                if isinstance(error, (CampaignKilled, BrokenExecutor)):
+                    raise error
+                task, _ = inflight.pop(future)
+                if error is None:
+                    _, report, stats = future.result()
+                    pump.complete(task, report, stats)
                 else:
-                    outcomes.succeed(index, report, stats)
-            now = clock.now()
-            for future, (index, attempt, deadline) in list(
-                inflight.items()
-            ):
+                    pump.fail(task, error)
+            now = time.monotonic()
+            for future, (task, deadline) in list(inflight.items()):
                 if deadline is not None and now >= deadline:
                     del inflight[future]
                     if not future.cancel():
-                        # Still running: the result (if it ever comes)
-                        # is discarded; the worker slot is lost until
+                        # Still running: its result, if it ever comes, is
+                        # discarded, and the worker slot is lost until
                         # the attempt finishes or the pool shuts down.
                         abandoned += 1
-                    error = ChunkTimeout(
-                        f"chunk {index} attempt {attempt} exceeded "
-                        f"the {retry.timeout}s per-attempt timeout"
-                    )
-                    if outcomes.fail(index, attempt, error):
-                        heapq.heappush(ready, (
-                            clock.now()
-                            + retry.delay_before(index, attempt + 1),
-                            index, attempt + 1,
-                        ))
+                    pump.fail(task, ChunkTimeout(
+                        f"chunk {task.index} attempt {task.attempt} "
+                        f"exceeded the {timeout}s per-attempt timeout"
+                    ))
     finally:
         # Don't block campaign completion on genuinely hung workers.
         pool.shutdown(wait=abandoned == 0, cancel_futures=True)
-    return f"pool:{context.get_start_method()}"
+    return f"pool:{_pool_context().get_start_method()}"
 
 
-def _run_chunks_inprocess(
-    job: Any,
-    chunks: Sequence[Tuple[int, int]],
-    remaining: Sequence[int],
-    outcomes: _ChunkOutcomes,
-    faults: Optional[FaultPlan],
-    clock: Clock,
+def _drain_inprocess(
+    pump: CampaignPump, faults: Optional[FaultPlan]
 ) -> None:
-    """Execute ``remaining`` chunks serially with the same retry pipeline.
+    """Drain ``pump`` on the calling thread.
 
-    Backoff sleeps go through ``clock``, so tier-1 tests drive retries
-    with a :class:`~repro.campaign.faults.FakeClock` and never block.
-    Per-attempt timeouts cannot preempt a single-threaded chunk body;
-    injected ``hang`` faults still exercise the timeout handling
-    deterministically.
+    A failed attempt backs off on the pump's clock immediately, so its
+    retry is the next ready work: chunks retry in place, in index order.
+    Per-attempt timeouts cannot preempt the calling thread; injected
+    ``hang`` faults still exercise the timeout handling.
     """
-    retry = outcomes.retry
-    for index in remaining:
-        start, stop = chunks[index]
-        attempt = 0
-        while True:
-            try:
-                _index, report, stats = execute_chunk(
-                    job, index, start, stop, attempt, faults, clock
-                )
-                outcomes.verify_chunk(report)
-            except CampaignKilled:
-                raise
-            except Exception as error:
-                if not outcomes.fail(index, attempt, error):
-                    break
-                attempt += 1
-                clock.sleep(retry.delay_before(index, attempt))
-            else:
-                outcomes.succeed(index, report, stats)
-                break
+    clock = pump.clock
+    while not pump.done:
+        task = pump.next_chunk()
+        if task is None:
+            clock.sleep(pump.next_ready_at() - clock.now())
+            continue
+        try:
+            _, report, stats = execute_chunk(
+                pump.job, task.index, task.start, task.stop,
+                task.attempt, faults, clock,
+            )
+        except CampaignKilled:
+            raise
+        except Exception as error:
+            pump.fail(task, error)
+        else:
+            pump.complete(task, report, stats)
+        if task.index not in pump.results and task.index not in pump.failures:
+            clock.sleep(
+                pump.retry.delay_before(task.index, task.attempt + 1)
+            )
 
 
 #: Exception types that mean "the pool itself is unusable" — the
-#: campaign continues in-process.  Worker exceptions never surface here
-#: anymore; they are retried per chunk inside the pooled loop.
+#: campaign continues in-process.  Worker exceptions never surface here;
+#: the pump retries them per chunk.
 _POOL_INFRA_ERRORS = (
     OSError,
     ValueError,
@@ -337,9 +310,10 @@ def run_campaign(
       retries);
     * ``strict`` — raise :class:`~repro.errors.CampaignError` instead
       of returning a partial result when chunks failed permanently;
-    * ``clock`` — time source for backoff pacing on the in-process
-      path (tests inject a FakeClock; the pooled scheduler always uses
-      real time);
+    * ``clock`` — time source for retry backoff on both the pooled and
+      the in-process path, and for injected ``slow`` faults on the
+      in-process path (tests inject a FakeClock); per-attempt timeouts
+      always use real time;
     * ``verify_certificates`` — treat workers as untrusted: flip the
       job into certificate-emitting mode (via its
       ``with_certificates`` hook, when it has one) and re-check every
@@ -351,107 +325,37 @@ def run_campaign(
       and therefore the checkpoint fingerprint — so a campaign must be
       resumed with the same setting it started with.
     """
-    retry = RetryPolicy() if retry is None else retry
-    clock = SystemClock() if clock is None else clock
-    prepared = prepare_campaign(
-        job, workers, chunk_size, checkpoint=checkpoint, resume=resume,
-        verify_certificates=verify_certificates,
+    pump = CampaignPump(
+        job, workers, chunk_size, retry=retry, checkpoint=checkpoint,
+        resume=resume, strict=strict,
+        verify_certificates=verify_certificates, clock=clock,
     )
-    job = prepared.job
-    policy = prepared.policy
-    chunks = prepared.chunks
-    completed = prepared.completed
-    remaining = prepared.remaining
-    outcomes = _ChunkOutcomes(
-        chunks, retry, prepared.record,
-        verify_certificates=verify_certificates,
-    )
-
-    wall_start = time.perf_counter()
     mode = "in-process"
-    if policy.workers > 1 and len(remaining) > 1:
+    workers = pump.prepared.policy.workers
+    if workers > 1 and len(pump.prepared.remaining) > 1:
         # Pre-flight: a job (or plan) that cannot cross a process
-        # boundary — e.g. a lambda task — takes the documented
-        # in-process fallback immediately, cleanly separated from
-        # worker exceptions (which are retried per chunk, never fatal).
+        # boundary — e.g. a lambda task — takes the in-process drain
+        # immediately, cleanly separated from worker exceptions (which
+        # the pump retries per chunk, never fatal).
         try:
-            pickle.dumps(job)
+            pickle.dumps(pump.job)
             if faults is not None:
                 pickle.dumps(faults)
         except Exception as error:
-            _run_chunks_inprocess(
-                job, chunks, remaining, outcomes, faults, clock
-            )
             mode = f"in-process (pool unavailable: {type(error).__name__})"
         else:
             try:
-                mode = _run_chunks_pooled(
-                    job, chunks, remaining, policy.workers, outcomes,
-                    faults,
-                )
-            except CampaignKilled:
-                raise
+                mode = _drain_pooled(pump, workers, faults)
             except _POOL_INFRA_ERRORS as error:
-                # The pool died (or never came up).  Chunks already
-                # completed and journaled stay; everything else reruns
-                # in-process with the same retry pipeline.
-                still_remaining = [
-                    i for i in remaining
-                    if i not in outcomes.results
-                    and i not in outcomes.failures
-                ]
-                _run_chunks_inprocess(
-                    job, chunks, still_remaining, outcomes, faults, clock
-                )
+                # The pool died (or never came up).  Settled chunks
+                # stay settled and journaled; the rest finish here.
+                pump.release_in_flight()
                 mode = (
                     f"in-process (pool unavailable: "
                     f"{type(error).__name__})"
                 )
-    else:
-        _run_chunks_inprocess(
-            job, chunks, remaining, outcomes, faults, clock
-        )
-    wall_seconds = time.perf_counter() - wall_start
-
-    # The ascending merge fold (and the coordinator-level certificate
-    # audit) is shared with the chunk-granular pump, so the service
-    # path and this blocking path cannot drift.
-    report, stats_in_order, missing = merge_campaign(
-        job, chunks, completed, outcomes
-    )
-
-    telemetry = CampaignTelemetry(
-        workers=policy.workers,
-        chunk_size=policy.chunk_size,
-        mode=_tag_mode(
-            mode, outcomes.retries, len(outcomes.failures),
-            outcomes.causes,
-        ),
-        wall_seconds=wall_seconds,
-        chunks=stats_in_order,
-        failures=[
-            outcomes.failures[i] for i in sorted(outcomes.failures)
-        ],
-        retries=outcomes.retries,
-        skipped_chunks=len(completed),
-        skipped_units=sum(
-            chunks[i][1] - chunks[i][0] for i in completed
-        ),
-        certificates_verified=(
-            outcomes.certificates_verified
-            + prepared.resumed_certificates
-        ),
-    )
-    result = CampaignResult(
-        report=report, telemetry=telemetry, missing=tuple(missing)
-    )
-    if strict and not result.complete:
-        raise CampaignError(
-            "strict campaign incomplete — missing "
-            + "; ".join(missing),
-            result=result,
-        )
-    return result
+    _drain_inprocess(pump, faults)
+    return pump.finalize(mode)
 
 
 def sweep_simulation_campaign(

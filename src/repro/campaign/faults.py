@@ -46,8 +46,8 @@ class ChunkTimeout(ReproError):
     """A chunk attempt exceeded its per-attempt timeout.
 
     Raised synthetically by an injected ``hang`` fault (both execution
-    modes) and by the pooled engine loop when a real worker blows past
-    :attr:`RetryPolicy.timeout`.  Routed through the retry policy like
+    modes) and by the engine's pooled drain when a real worker blows
+    past :attr:`RetryPolicy.timeout`.  Routed through the retry policy like
     any other chunk failure.
     """
 
@@ -67,10 +67,14 @@ class CampaignKilled(ReproError):
 class Clock:
     """Time-source seam for retry scheduling and injected slowness.
 
-    The engine only ever calls :meth:`now` and :meth:`sleep`, so a test
-    can swap in a :class:`FakeClock` and observe the exact backoff
-    sequence with zero real waiting.  Scientific results never depend
-    on the clock — it only paces retries.
+    A :class:`~repro.campaign.pump.CampaignPump` stamps every retry's
+    backoff deadline with :meth:`now`, and the engine waits them out
+    with :meth:`sleep` — on the pooled and the in-process path alike —
+    so a test can swap in a :class:`FakeClock` and observe the exact
+    backoff sequence with zero real waiting.  Per-attempt timeouts are
+    the exception: they always use real time, the only time that
+    passes while a worker hangs.  Scientific results never depend on
+    the clock — it only paces retries.
     """
 
     def now(self) -> float:
@@ -126,9 +130,11 @@ class RetryPolicy:
     ``min(max_delay, base_delay * backoff_factor**(a-1))`` — widened by
     a deterministic jitter of at most ``±jitter`` (a fraction), derived
     from the chunk index and attempt number so two runs of the same
-    campaign back off identically.  ``timeout`` (seconds, pooled path
-    only) bounds each attempt's wall time; a breach counts as a failed
-    attempt (:class:`ChunkTimeout`) and is retried like a crash.
+    campaign back off identically.  ``timeout`` (real seconds, counted
+    from submission to the pool) bounds each attempt's wall time; a
+    breach counts as a failed attempt (:class:`ChunkTimeout`) and is
+    retried like a crash.  Only the pooled path enforces it — an
+    attempt on the calling thread cannot be preempted.
     """
 
     max_retries: int = 2

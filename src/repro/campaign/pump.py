@@ -1,10 +1,8 @@
-"""Chunk-granular campaign execution: the pump behind the engine.
+"""Chunk-granular campaign execution: the one place a chunk is settled.
 
-:func:`~repro.campaign.engine.run_campaign` drives a campaign from
-start to finish on one call stack, which is the right shape for a CLI
-— but a long-lived service (:mod:`repro.serve`) must interleave chunks
-from *many* campaigns over one shared worker pool.  This module is the
-refactor that makes both possible from the same pieces:
+Every campaign — a blocking
+:func:`~repro.campaign.engine.run_campaign` or a job multiplexed by
+:mod:`repro.serve` — runs through the pieces here:
 
 * :func:`prepare_campaign` — everything that happens before the first
   chunk runs: resolve the sharding policy, plan chunks, validate and
@@ -15,27 +13,27 @@ refactor that makes both possible from the same pieces:
 * :func:`merge_campaign` — the ascending, deterministic merge fold that
   turns chunk reports back into one report, naming missing ranges.
 * :class:`CampaignPump` — a non-blocking state machine over the three:
-  hand out :class:`ChunkTask`\\ s one at a time (honoring retry backoff
-  deadlines), accept completions/failures, and finalize into the same
-  :class:`~repro.campaign.engine.CampaignResult` a blocking run would
-  produce.  A scheduler that round-robins ``next_chunk()`` across many
-  pumps gets fair multiplexing with every per-campaign invariant —
-  byte-identical merged reports, crash-safe journals, certificate
-  gating — intact.
+  hand out :class:`ChunkTask`\\ s (lowest ready chunk index first,
+  retries once their backoff has passed), accept completions and
+  failures, and finalize into a
+  :class:`~repro.campaign.engine.CampaignResult`.
 
-The blocking engine delegates its setup and merge phases here, so the
-service path and the CLI path cannot drift.
+Retry, backoff, certificate gating, journaling and the merge fold live
+only in :class:`CampaignPump`; its owners merely decide where chunk
+attempts run and how to wait.  The engine drains one pump on its own
+call stack, the service round-robins ``next_chunk()`` across many, so
+the two cannot drift.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import os
 import time
 from dataclasses import dataclass
 from typing import (
     Any,
-    Callable,
     Dict,
     List,
     Optional,
@@ -97,79 +95,6 @@ def execute_chunk(
     return index, report, stats
 
 
-class _ChunkOutcomes:
-    """Mutable accumulator shared by both execution paths.
-
-    Collects successful chunk results, permanent failures, the retry
-    count, and the set of failure-cause type names (used to tag
-    ``telemetry.mode``).
-    """
-
-    def __init__(
-        self,
-        chunks: Sequence[Tuple[int, int]],
-        retry: RetryPolicy,
-        record: Callable[[int, Any], None],
-        verify_certificates: bool = False,
-    ):
-        self.chunks = chunks
-        self.retry = retry
-        self.record = record
-        self.verify_certificates = verify_certificates
-        self.certificates_verified = 0
-        self.results: Dict[int, Tuple[Any, ChunkStats]] = {}
-        self.failures: Dict[int, ChunkFailure] = {}
-        self.retries = 0
-        self.causes: Set[str] = set()
-
-    def verify_chunk(self, report: Any) -> None:
-        """Re-check a chunk report's certificates before accepting it.
-
-        The verifier is independent of the searchers, so a worker
-        cannot vouch for its own result; a rejected certificate is a
-        :class:`~repro.errors.CertificateError`, which both execution
-        paths treat as an ordinary (retryable) chunk failure.
-        """
-        if not self.verify_certificates:
-            return
-        certificates = getattr(report, "certificates", None) or []
-        if not certificates:
-            return
-        from repro.certify.verify import verify_certificates as check
-
-        verdict = check(certificates)
-        if not verdict.accepted:
-            raise CertificateError(
-                f"chunk certificate rejected ({verdict.reason}): "
-                f"{verdict.detail}"
-            )
-        self.certificates_verified += len(certificates)
-
-    def succeed(self, index: int, report: Any, stats: ChunkStats) -> None:
-        """Accept a chunk result and journal it to the checkpoint."""
-        self.results[index] = (report, stats)
-        self.record(index, report)
-
-    def fail(self, index: int, attempt: int, error: BaseException) -> bool:
-        """Register a failed attempt.
-
-        Returns ``True`` when the chunk should be retried (and counts
-        the retry); records a permanent :class:`ChunkFailure` and
-        returns ``False`` once the retry budget is spent.
-        """
-        self.causes.add(type(error).__name__)
-        if attempt + 1 < self.retry.max_attempts:
-            self.retries += 1
-            return True
-        start, stop = self.chunks[index]
-        kind = "timeout" if isinstance(error, ChunkTimeout) else "error"
-        self.failures[index] = ChunkFailure(
-            index=index, start=start, stop=stop, attempts=attempt + 1,
-            error=f"{type(error).__name__}: {error}", kind=kind,
-        )
-        return False
-
-
 @dataclass(frozen=True)
 class ChunkTask:
     """One dispatchable unit of campaign work: a chunk attempt.
@@ -195,9 +120,9 @@ class PreparedCampaign:
 
     Holds the (possibly certificate-flipped) job, the resolved
     sharding policy and chunk plan, the chunks replayed from a resume
-    journal, and the open checkpoint writer.  Both the blocking engine
-    and :class:`CampaignPump` start from one of these, so setup
-    semantics — validation errors included — are identical.
+    journal, and the open checkpoint writer.  Every
+    :class:`CampaignPump` starts from one of these, so setup semantics
+    — validation errors included — are the same for every owner.
     """
 
     job: Any
@@ -235,9 +160,8 @@ def prepare_campaign(
 ) -> PreparedCampaign:
     """Resolve policy, plan chunks, replay a resume journal, open a writer.
 
-    This is the setup phase :func:`~repro.campaign.engine.run_campaign`
-    performs before executing chunks, factored out so a chunk-granular
-    caller (:class:`CampaignPump`) observes the exact same contract:
+    The setup phase of every :class:`CampaignPump`, batch or service,
+    with one contract:
 
     * ``verify_certificates=True`` flips the job into
       certificate-emitting mode via its ``with_certificates`` hook;
@@ -332,12 +256,15 @@ def merge_campaign(
     job: Any,
     chunks: Sequence[Tuple[int, int]],
     completed: Dict[int, Any],
-    outcomes: _ChunkOutcomes,
+    outcomes: CampaignPump,
 ) -> Tuple[Any, List[ChunkStats], List[str]]:
     """Fold chunk reports into one, in ascending chunk order.
 
-    Returns ``(finalized_report, stats_in_order, missing)`` where
-    ``missing`` names the unit ranges of permanently failed chunks.
+    ``completed`` holds the chunks replayed from a resume journal;
+    ``outcomes`` is the pump whose ``results`` and ``failures`` settled
+    the rest.  Returns ``(finalized_report, stats_in_order, missing)``
+    where ``missing`` names the unit ranges of permanently failed
+    chunks.
     The ascending fold is what makes the merged report byte-identical
     across worker counts, completion orders, and resume boundaries.
     The finalized report's certificates are re-verified under the
@@ -368,50 +295,37 @@ def merge_campaign(
     # The finalized report may carry certificates no chunk ever did —
     # sweeps mint at finalize, fuzz re-derives its shrink certificate —
     # so the gate audits the merged result as well.
-    outcomes.verify_chunk(report)
+    outcomes._verify_chunk(report)
     return report, stats_in_order, missing
-
-
-def _tag_mode(
-    mode: str, retries: int, failures: int, causes: Set[str]
-) -> str:
-    """Annotate the telemetry mode with retry/failure causes, if any."""
-    notes = []
-    if retries:
-        notes.append(f"retries: {retries}")
-    if failures:
-        notes.append(f"failed chunks: {failures}")
-    if notes and causes:
-        notes.append("causes: " + ",".join(sorted(causes)))
-    return f"{mode} ({'; '.join(notes)})" if notes else mode
 
 
 class CampaignPump:
     """A non-blocking, chunk-granular view of one campaign.
 
-    Where :func:`~repro.campaign.engine.run_campaign` owns its worker
-    pool and blocks until the campaign settles, a pump owns *no*
-    execution resources: a scheduler asks for work with
+    A pump owns *no* execution resources: its owner asks for work with
     :meth:`next_chunk`, runs the returned :class:`ChunkTask` wherever
     it likes (process pool, thread, inline), and reports back with
-    :meth:`complete` or :meth:`fail`.  Interleaving calls across many
-    pumps multiplexes many campaigns over one shared pool — the shape
-    :mod:`repro.serve` serves — while every per-campaign invariant
-    holds:
+    :meth:`complete` or :meth:`fail`.  The blocking
+    :func:`~repro.campaign.engine.run_campaign` drains one pump on its
+    own call stack; :mod:`repro.serve` interleaves calls across many
+    pumps to multiplex many campaigns over one shared pool.  Either
+    way every per-campaign invariant lives here, once:
 
     * completed chunks are journaled crash-safely the moment they are
       accepted, so a killed-and-restarted owner resumes by building a
       fresh pump with ``resume=True`` and merges to an ``==``-identical
       report;
-    * failed attempts requeue with the same deterministic backoff
-      schedule the blocking engine uses (deadlines via ``clock.now()``);
+    * a failed attempt is retried under the
+      :class:`~repro.campaign.faults.RetryPolicy`: it waits out its
+      deterministic backoff on ``clock``, then joins the ready work,
+      which is handed out lowest chunk index first;
     * under ``verify_certificates=True`` a chunk whose certificates
       fail independent replay is rejected and retried, never merged.
 
-    :meth:`finalize` produces the same
-    :class:`~repro.campaign.engine.CampaignResult` a blocking run
-    would, with ``telemetry.mode`` tagged ``mode`` (default
-    ``"pump"``).
+    :meth:`finalize` folds the settled chunks into a
+    :class:`~repro.campaign.engine.CampaignResult` whose
+    ``telemetry.mode`` is ``mode`` (default ``"pump"``) plus any
+    retry/failure annotations.
     """
 
     def __init__(
@@ -430,23 +344,29 @@ class CampaignPump:
         self.clock = SystemClock() if clock is None else clock
         self.retry = RetryPolicy() if retry is None else retry
         self.strict = strict
+        self.verify_certificates = verify_certificates
         self.prepared = prepare_campaign(
             job, workers, chunk_size, checkpoint=checkpoint,
             resume=resume, verify_certificates=verify_certificates,
         )
         self.job = self.prepared.job
-        self.outcomes = _ChunkOutcomes(
-            self.prepared.chunks, self.retry, self.prepared.record,
-            verify_certificates=verify_certificates,
-        )
-        # Ready queue: (not-before time, chunk index, attempt).  First
-        # attempts are ready immediately; retries carry their backoff
-        # deadline.
-        self._ready: List[Tuple[float, int, int]] = [
-            (0.0, index, 0) for index in self.prepared.remaining
+        #: Chunks settled by this run: accepted reports and permanent
+        #: failures.  Resumed chunks stay in ``prepared.completed``.
+        self.results: Dict[int, Tuple[Any, ChunkStats]] = {}
+        self.failures: Dict[int, ChunkFailure] = {}
+        self.retries = 0
+        #: Failure-cause type names, used to tag ``telemetry.mode``.
+        self.causes: Set[str] = set()
+        self.certificates_verified = 0
+        # Retries waiting out their backoff, as (ready time, chunk
+        # index, attempt); and ready work as (chunk index, attempt) —
+        # the ascending remaining list is already a valid heap.
+        self._backoff: List[Tuple[float, int, int]] = []
+        self._ready: List[Tuple[int, int]] = [
+            (index, 0) for index in self.prepared.remaining
         ]
-        heapq.heapify(self._ready)
-        self._in_flight: Set[int] = set()
+        # Handed-out attempts: chunk index -> attempt.
+        self._in_flight: Dict[int, int] = {}
         self._wall_start = time.perf_counter()
 
     # ------------------------------------------------------------------
@@ -460,12 +380,12 @@ class CampaignPump:
     @property
     def completed_chunks(self) -> int:
         """Chunks settled successfully so far (resumed + this run)."""
-        return len(self.prepared.completed) + len(self.outcomes.results)
+        return len(self.prepared.completed) + len(self.results)
 
     @property
     def failed_chunks(self) -> int:
         """Chunks that exhausted their retry budget."""
-        return len(self.outcomes.failures)
+        return len(self.failures)
 
     @property
     def total_units(self) -> int:
@@ -476,7 +396,7 @@ class CampaignPump:
     def completed_units(self) -> int:
         """Units inside successfully settled chunks."""
         chunks = self.prepared.chunks
-        done = set(self.prepared.completed) | set(self.outcomes.results)
+        done = set(self.prepared.completed) | set(self.results)
         return sum(chunks[i][1] - chunks[i][0] for i in done)
 
     @property
@@ -487,36 +407,68 @@ class CampaignPump:
     @property
     def done(self) -> bool:
         """True when every chunk has settled (succeeded or failed)."""
-        return not self._ready and not self._in_flight
+        return not (self._ready or self._backoff or self._in_flight)
 
     # ------------------------------------------------------------------
     # The pump
 
     def next_chunk(self, now: Optional[float] = None) -> Optional[ChunkTask]:
-        """Hand out the next ready chunk attempt, or ``None``.
+        """Hand out the ready chunk attempt with the lowest index, or ``None``.
 
         ``None`` means either nothing is ready *yet* (a retry is
         waiting out its backoff — see :meth:`next_ready_at`) or the
         campaign has no undispatched work left.  The returned task is
-        tracked as in-flight until :meth:`complete` or :meth:`fail`.
+        tracked as in-flight until :meth:`complete`, :meth:`fail` or
+        :meth:`release_in_flight`.  The clock is read only while a
+        retry is backing off, so a fault-free campaign never touches it.
         """
+        if self._backoff:
+            now = self.clock.now() if now is None else now
+            while self._backoff and self._backoff[0][0] <= now:
+                _, index, attempt = heapq.heappop(self._backoff)
+                heapq.heappush(self._ready, (index, attempt))
         if not self._ready:
             return None
-        now = self.clock.now() if now is None else now
-        not_before, index, attempt = self._ready[0]
-        if not_before > now:
-            return None
-        heapq.heappop(self._ready)
-        self._in_flight.add(index)
+        index, attempt = heapq.heappop(self._ready)
+        self._in_flight[index] = attempt
         start, stop = self.prepared.chunks[index]
         return ChunkTask(index=index, start=start, stop=stop,
                          attempt=attempt)
 
     def next_ready_at(self) -> Optional[float]:
-        """Clock time when the earliest queued chunk becomes ready."""
-        if not self._ready:
-            return None
-        return self._ready[0][0]
+        """Clock time when the earliest queued chunk becomes ready.
+
+        ``-inf`` when work is ready now; ``None`` when nothing is
+        queued at all.
+        """
+        if self._ready:
+            return -math.inf
+        if self._backoff:
+            return self._backoff[0][0]
+        return None
+
+    def _verify_chunk(self, report: Any) -> None:
+        """Re-check a report's certificates under the untrusted-worker gate.
+
+        The verifier is independent of the searchers, so a worker
+        cannot vouch for its own result; a rejected certificate raises
+        :class:`~repro.errors.CertificateError`.  A no-op unless the
+        pump was built with ``verify_certificates=True``.
+        """
+        if not self.verify_certificates:
+            return
+        certificates = getattr(report, "certificates", None) or []
+        if not certificates:
+            return
+        from repro.certify.verify import verify_certificates as check
+
+        verdict = check(certificates)
+        if not verdict.accepted:
+            raise CertificateError(
+                f"chunk certificate rejected ({verdict.reason}): "
+                f"{verdict.detail}"
+            )
+        self.certificates_verified += len(certificates)
 
     def complete(
         self, task: ChunkTask, report: Any, stats: ChunkStats
@@ -529,12 +481,13 @@ class CampaignPump:
         was accepted and journaled, ``False`` when it was rejected.
         """
         try:
-            self.outcomes.verify_chunk(report)
+            self._verify_chunk(report)
         except CertificateError as error:
             self.fail(task, error)
             return False
-        self._in_flight.discard(task.index)
-        self.outcomes.succeed(task.index, report, stats)
+        self._in_flight.pop(task.index, None)
+        self.results[task.index] = (report, stats)
+        self.prepared.record(task.index, report)
         return True
 
     def fail(self, task: ChunkTask, error: BaseException) -> Optional[float]:
@@ -544,57 +497,77 @@ class CampaignPump:
         ``None`` when the chunk's budget is spent and it was recorded
         as a permanent :class:`~repro.campaign.telemetry.ChunkFailure`.
         """
-        self._in_flight.discard(task.index)
-        if not self.outcomes.fail(task.index, task.attempt, error):
+        self._in_flight.pop(task.index, None)
+        self.causes.add(type(error).__name__)
+        if task.attempt + 1 >= self.retry.max_attempts:
+            kind = "timeout" if isinstance(error, ChunkTimeout) else "error"
+            self.failures[task.index] = ChunkFailure(
+                index=task.index, start=task.start, stop=task.stop,
+                attempts=task.attempt + 1,
+                error=f"{type(error).__name__}: {error}", kind=kind,
+            )
             return None
+        self.retries += 1
         ready_at = self.clock.now() + self.retry.delay_before(
             task.index, task.attempt + 1
         )
         heapq.heappush(
-            self._ready, (ready_at, task.index, task.attempt + 1)
+            self._backoff, (ready_at, task.index, task.attempt + 1)
         )
         return ready_at
+
+    def release_in_flight(self) -> None:
+        """Requeue every handed-out attempt, counting no retry.
+
+        For attempts lost with their executor (a dead pool) rather
+        than failed by their chunk: each goes back to the ready work at
+        the same attempt number.
+        """
+        for index, attempt in self._in_flight.items():
+            heapq.heappush(self._ready, (index, attempt))
+        self._in_flight.clear()
 
     def finalize(self, mode: str = "pump"):
         """Merge all settled chunks into a CampaignResult.
 
-        Must only be called once :attr:`done` is true.  Identical
-        merge fold, telemetry accounting, and ``strict`` behavior as
-        the blocking engine — a pump-driven campaign's report is
-        ``==``-identical to a ``run_campaign`` of the same job.
+        Must only be called once :attr:`done` is true.  Raises
+        :class:`~repro.errors.CampaignError` — with the partial result
+        attached — when the pump is ``strict`` and chunks failed.
         """
         from repro.campaign.engine import CampaignResult
 
         if not self.done:
             raise CampaignError(
-                f"cannot finalize: {len(self._ready)} chunk(s) queued "
-                f"and {len(self._in_flight)} in flight"
+                f"cannot finalize: "
+                f"{len(self._ready) + len(self._backoff)} chunk(s) "
+                f"queued and {len(self._in_flight)} in flight"
             )
         prepared = self.prepared
         report, stats_in_order, missing = merge_campaign(
-            self.job, prepared.chunks, prepared.completed, self.outcomes
+            self.job, prepared.chunks, prepared.completed, self
         )
+        notes = []
+        if self.retries:
+            notes.append(f"retries: {self.retries}")
+        if self.failures:
+            notes.append(f"failed chunks: {len(self.failures)}")
+        if notes and self.causes:
+            notes.append("causes: " + ",".join(sorted(self.causes)))
         telemetry = CampaignTelemetry(
             workers=prepared.policy.workers,
             chunk_size=prepared.policy.chunk_size,
-            mode=_tag_mode(
-                mode, self.outcomes.retries, len(self.outcomes.failures),
-                self.outcomes.causes,
-            ),
+            mode=f"{mode} ({'; '.join(notes)})" if notes else mode,
             wall_seconds=time.perf_counter() - self._wall_start,
             chunks=stats_in_order,
-            failures=[
-                self.outcomes.failures[i]
-                for i in sorted(self.outcomes.failures)
-            ],
-            retries=self.outcomes.retries,
+            failures=[self.failures[i] for i in sorted(self.failures)],
+            retries=self.retries,
             skipped_chunks=len(prepared.completed),
             skipped_units=sum(
                 prepared.chunks[i][1] - prepared.chunks[i][0]
                 for i in prepared.completed
             ),
             certificates_verified=(
-                self.outcomes.certificates_verified
+                self.certificates_verified
                 + prepared.resumed_certificates
             ),
         )

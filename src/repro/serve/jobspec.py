@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, Optional
 
 from repro.errors import ReproError
+from repro.protocols.scenarios import SCENARIOS
 
 #: Experiments the service accepts; each mirrors a CLI code path.
 EXPERIMENTS = ("falsify", "protocol", "fuzz", "explore")
@@ -36,8 +37,8 @@ EXPERIMENTS = ("falsify", "protocol", "fuzz", "explore")
 #: Named protocols for ``experiment=protocol`` sweeps.
 SWEEP_PROTOCOLS = ("racing", "minseen")
 
-#: Exploration scenarios, matching ``repro explore --scenario``.
-EXPLORE_SCENARIOS = ("truncated", "racing", "minseen", "anonymous")
+#: Exploration scenarios: ``repro explore --scenario``'s table.
+EXPLORE_SCENARIOS = tuple(SCENARIOS)
 
 #: Upper bounds keeping one tenant's job from monopolizing the service.
 MAX_SEEDS = 100_000
@@ -195,7 +196,6 @@ def build_job(spec: JobSpec):
         SweepSimulationJob,
     )
     from repro.protocols import (
-        AnonymousSweepConsensus,
         KSetAgreementTask,
         MinSeen,
         RacingConsensus,
@@ -229,18 +229,7 @@ def build_job(spec: JobSpec):
             max_saved_violations=DEFAULT_MAX_SAVED_VIOLATIONS,
         )
     # explore — the CLI's scenario table.
-    protocol, inputs, task = {
-        "truncated": (
-            TruncatedProtocol(RacingConsensus(3), 1), (0, 1, 2),
-            KSetAgreementTask(1),
-        ),
-        "racing": (RacingConsensus(2), (0, 1), KSetAgreementTask(1)),
-        "minseen": (MinSeen(2), (0, 1), KSetAgreementTask(2)),
-        "anonymous": (
-            AnonymousSweepConsensus(3, m=2), (0, 1, 1),
-            KSetAgreementTask(1),
-        ),
-    }[spec.scenario]
+    protocol, inputs, task, _expect_safe = SCENARIOS[spec.scenario]()
     return ExploreJob(
         protocol=protocol, inputs=inputs, task=task,
         max_configs=spec.max_configs, max_steps=spec.max_steps,

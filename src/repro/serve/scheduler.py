@@ -352,13 +352,9 @@ class Scheduler:
                 )
             return self._thread_pool
         if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
+            from repro.campaign.engine import _worker_pool
 
-            from repro.campaign.engine import _pool_context
-
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=_pool_context(),
-            )
+            self._pool = _worker_pool(self.workers)
         return self._pool
 
     def _spawn(self, runtime: JobRuntime, task: ChunkTask) -> None:
@@ -433,7 +429,7 @@ class Scheduler:
         """Emit chunk-retry (budget left) or chunk-failed (permanent)."""
         pump = runtime.pump
         permanent = (
-            pump is not None and task.index in pump.outcomes.failures
+            pump is not None and task.index in pump.failures
         )
         self._emit(runtime, {
             "event": "chunk-failed" if permanent else "chunk-retry",

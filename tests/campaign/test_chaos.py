@@ -270,3 +270,39 @@ class TestPooledChaos:
         resumed = run(job, checkpoint=path, resume=True)
         assert resumed.report == clean.report
         assert resumed.telemetry.skipped_chunks == chunk_count(job)
+
+    def test_pooled_real_timeout_retries_to_identical_report(self):
+        """A worker really stuck past RetryPolicy.timeout is abandoned,
+        and the chunk's retry lands the clean report."""
+        job = sweep_job()
+        clean = run(job)
+        result = run_campaign(
+            job, workers=2, chunk_size=CHUNK_SIZE,
+            retry=RetryPolicy(max_retries=2, base_delay=0.001,
+                              timeout=1.0),
+            faults=FaultPlan({1: FaultSpec("slow", attempts=1,
+                                           delay=4.0)}),
+        )
+        assert result.report == clean.report
+        assert repr(result.report) == repr(clean.report)
+        assert result.complete
+        assert result.telemetry.retries == 1
+        assert "ChunkTimeout" in result.telemetry.mode
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_pooled_kill_then_inprocess_resume(self, k, tmp_path):
+        """A pooled campaign killed at chunk k resumes in-process to the
+        uninterrupted report."""
+        job = sweep_job()
+        assert chunk_count(job) == 4
+        clean = run(job)
+        path = str(tmp_path / "killed.ckpt")
+        with pytest.raises(CampaignKilled):
+            run_campaign(
+                job, workers=2, chunk_size=CHUNK_SIZE, checkpoint=path,
+                faults=FaultPlan.kill_at(k),
+            )
+        resumed = run(job, checkpoint=path, resume=True)
+        assert resumed.report == clean.report
+        assert repr(resumed.report) == repr(clean.report)
+        assert resumed.complete

@@ -1,5 +1,8 @@
 """Engine mechanics: sharding policy, fallback, and telemetry."""
 
+import os
+from dataclasses import dataclass
+
 import pytest
 
 from repro.campaign import (
@@ -16,6 +19,18 @@ from repro.campaign import engine as engine_module
 from repro.campaign.jobs import SweepProtocolJob
 from repro.core.sweep import sweep_protocol
 from repro.protocols import KSetAgreementTask, MinSeen
+
+
+@dataclass(frozen=True)
+class DiesInWorkers(SweepProtocolJob):
+    """A sweep whose chunk at unit 3 kills any process but ``parent``."""
+
+    parent: int = 0
+
+    def run_range(self, start, stop):
+        if start == 3 and os.getpid() != self.parent:
+            os._exit(1)
+        return super().run_range(start, stop)
 
 
 def minseen_job(seed_count=10):
@@ -86,9 +101,7 @@ class TestEngineExecution:
         def broken_pool(*args, **kwargs):
             raise OSError("no processes on this platform")
 
-        monkeypatch.setattr(
-            engine_module, "_run_chunks_pooled", broken_pool
-        )
+        monkeypatch.setattr(engine_module, "_worker_pool", broken_pool)
         serial = sweep_protocol(
             MinSeen(3, rounds=2), [4, 1, 9], range(10),
             task=KSetAgreementTask(3),
@@ -96,6 +109,22 @@ class TestEngineExecution:
         result = run_campaign(minseen_job(), workers=4, chunk_size=3)
         assert result.telemetry.mode == "in-process (pool unavailable: OSError)"
         assert result.report == serial
+
+    def test_dead_pool_hands_its_chunks_back(self):
+        """A worker dying mid-chunk breaks the pool; the chunks it held
+        finish in-process at the same attempt, counting no retry."""
+        job = DiesInWorkers(
+            protocol=MinSeen(3, rounds=2), inputs=(4, 1, 9),
+            seeds=tuple(range(12)), task=KSetAgreementTask(3),
+            parent=os.getpid(),
+        )
+        result = run_campaign(job, workers=2, chunk_size=3)
+        assert result.telemetry.mode == (
+            "in-process (pool unavailable: BrokenProcessPool)"
+        )
+        assert result.report == minseen_job(12).run_range(0, 12)
+        assert result.complete
+        assert result.telemetry.retries == 0
 
     def test_unpicklable_job_falls_back_in_process(self):
         # A task defined inside a function can't cross a process

@@ -116,6 +116,30 @@ class TestRetries:
         assert retried.index == task.index
         assert retried.attempt == task.attempt + 1
 
+    def test_ready_retry_goes_out_before_higher_chunks(self):
+        """Once its backoff has passed, a retry is handed out ahead of
+        every higher-indexed first attempt."""
+        clock = FakeClock()
+        retry = RetryPolicy(max_retries=1, base_delay=1.0, jitter=0.0)
+        pump = CampaignPump(
+            make_job(), workers=1, chunk_size=3, retry=retry,
+            clock=clock,
+        )
+        first = pump.next_chunk()
+        clock.current = pump.fail(first, RuntimeError("boom"))
+        retried = pump.next_chunk()
+        assert (retried.index, retried.attempt) == (first.index, 1)
+        assert pump.next_chunk().index == first.index + 1
+
+    def test_release_requeues_without_counting_a_retry(self):
+        pump = CampaignPump(make_job(), workers=2, chunk_size=3)
+        handed = [pump.next_chunk(), pump.next_chunk()]
+        pump.release_in_flight()
+        assert pump.in_flight == 0
+        again = [pump.next_chunk(), pump.next_chunk()]
+        assert again == handed
+        assert pump.retries == 0
+
     def test_exhausted_budget_degrades_to_partial_result(self):
         retry = RetryPolicy(max_retries=0)
         pump = CampaignPump(

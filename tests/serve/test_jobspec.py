@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro.campaign import run_campaign
-from repro.serve.jobspec import JobSpec, JobSpecError, build_job
+from repro.__main__ import main
+from repro.campaign import engine, run_campaign
+from repro.campaign.checkpoint import job_fingerprint
+from repro.serve.jobspec import (
+    EXPLORE_SCENARIOS,
+    JobSpec,
+    JobSpecError,
+    build_job,
+)
 
 
 class TestValidation:
@@ -95,3 +102,48 @@ class TestBuildJob:
             verify_certificates=spec.verify_certificates,
         )
         assert result.telemetry.certificates_verified > 0
+
+
+def fingerprint(job):
+    return job_fingerprint(job, job.total_units(), 4)
+
+
+class TestScenarioTable:
+    """The CLI and the service build explore jobs from one table."""
+
+    @pytest.mark.parametrize("scenario", EXPLORE_SCENARIOS)
+    def test_cli_and_service_build_the_same_job(self, scenario, monkeypatch):
+        class Captured(Exception):
+            pass
+
+        def capture(job, **kwargs):
+            raise Captured(job)
+
+        monkeypatch.setattr(engine, "run_campaign", capture)
+        with pytest.raises(Captured) as excinfo:
+            main(["explore", "--scenario", scenario])
+        [cli_job] = excinfo.value.args
+        service_job = build_job(JobSpec.from_dict(
+            {"experiment": "explore", "scenario": scenario}
+        ))
+        assert fingerprint(cli_job) == fingerprint(service_job)
+
+    @pytest.mark.parametrize("spec_dict, expected", [
+        ({"experiment": "explore", "scenario": "truncated"},
+         "ea2e48c7df42cbf9"),
+        ({"experiment": "explore", "scenario": "racing"},
+         "3e6f17d23278fce4"),
+        ({"experiment": "explore", "scenario": "minseen"},
+         "78a6a1d7649e538b"),
+        ({"experiment": "explore", "scenario": "anonymous"},
+         "881b708574dcf69d"),
+        ({"experiment": "protocol", "protocol": "racing"},
+         "3d150bccbb4c1b73"),
+        ({"experiment": "protocol", "protocol": "minseen"},
+         "ae58474fc853a6b8"),
+    ])
+    def test_fingerprints_are_pinned(self, spec_dict, expected):
+        """Journals written by earlier servers must still resume."""
+        assert fingerprint(build_job(JobSpec.from_dict(spec_dict))) == (
+            expected
+        )

@@ -11,6 +11,7 @@ Two escalation levels:
 """
 
 import asyncio
+import glob
 import os
 import signal
 import subprocess
@@ -110,6 +111,27 @@ def _start_server(state):
             time.sleep(0.05)
 
 
+def _children(pid):
+    """Pids of ``pid``'s child processes, or ``None`` without /proc."""
+    paths = glob.glob(f"/proc/{pid}/task/*/children")
+    if not paths:
+        return None
+    children = []
+    for path in paths:
+        with open(path) as handle:
+            children.extend(int(child) for child in handle.read().split())
+    return children
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class TestSigkillRestart:
     def test_sigkilled_server_resumes_to_identical_report(self, tmp_path):
         state = str(tmp_path)
@@ -132,8 +154,18 @@ class TestSigkillRestart:
         except BaseException:
             process.kill()
             raise
+        workers = _children(process.pid)
         os.kill(process.pid, signal.SIGKILL)
         process.wait(timeout=60)
+        if workers is not None:
+            # The killed server's pool workers must not outlive it.
+            assert workers, "the server never started its worker pool"
+            deadline = time.monotonic() + 10
+            while any(_running(pid) for pid in workers):
+                assert time.monotonic() < deadline, (
+                    f"orphaned pool workers still running: {workers}"
+                )
+                time.sleep(0.1)
 
         process, client = _start_server(state)
         try:
