@@ -13,7 +13,7 @@ same entry point).  Usage::
                    [--resume [PATH]] [--strict]
                    [--verify-certificates] [--certificates-dir DIR]
     repro explore [--scenario truncated | --base-object swap]
-                  [--workers N] [--symmetry] [--packed/--no-packed]
+                  [--workers N] [--symmetry]
                   [--verify-certificates]
                   [--checkpoint PATH] [--resume [PATH]] [--strict]
     repro certify emit [--scenario falsify] --out DIR
@@ -34,8 +34,7 @@ telemetry (results are byte-identical for any worker count — see
 docs/CAMPAIGNS.md); ``explore`` runs the bounded-exhaustive model
 checker sharded over schedule-prefix subtrees, optionally verifying the
 sharded report against a serial run (``--symmetry`` reduces
-full-symmetric protocols under process permutation, ``--no-packed``
-falls back to the object-tuple configuration encoding — see
+full-symmetric protocols under process permutation — see
 docs/PERFORMANCE.md); ``--base-object`` selects the memory primitive
 the scenario is built from (register / swap / test-and-set /
 compare-and-swap / the large-register emulation — see
@@ -402,12 +401,6 @@ def cmd_explore(args) -> int:
         print(f"error: --chunk-size must be >= 1, got {args.chunk_size}",
               file=sys.stderr)
         return 2
-    if args.symmetry and not args.packed:
-        # Fail fast: otherwise every chunk would burn its retry budget
-        # on the same ValidationError inside the workers.
-        print("error: --symmetry requires the packed encoding "
-              "(drop --no-packed)", file=sys.stderr)
-        return 2
     resolved = _resolve_fault_tolerance(args)
     if isinstance(resolved, int):
         return resolved
@@ -431,12 +424,10 @@ def cmd_explore(args) -> int:
         prefix_depth=args.prefix_depth,
         workers=args.workers, chunk_size=args.chunk_size,
         checkpoint=checkpoint, resume=resume, retry=retry,
-        packed=args.packed, symmetry=args.symmetry,
+        symmetry=args.symmetry,
         verify_certificates=args.verify_certificates,
     )
-    mode = "" if args.packed else ", unpacked"
-    if args.symmetry:
-        mode += ", symmetry-reduced"
+    mode = ", symmetry-reduced" if args.symmetry else ""
     if args.verify_certificates:
         mode += ", certificate-gated"
     print(f"exploring {protocol.name} on inputs {list(inputs)} "
@@ -462,7 +453,7 @@ def cmd_explore(args) -> int:
             max_configs=args.max_configs, max_steps=args.max_steps,
             stop_at_first_violation=not args.collect_all,
             prefix_depth=args.prefix_depth,
-            packed=args.packed, symmetry=args.symmetry,
+            symmetry=args.symmetry,
         )
         if result.report == serial and repr(result.report) == repr(serial):
             print("   serial verification: sharded report identical")
@@ -602,11 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--symmetry", action="store_true",
         help="canonicalize configurations under process permutation "
              "(reduces protocols that declare full symmetry)",
-    )
-    explore.add_argument(
-        "--packed", action=argparse.BooleanOptionalAction, default=True,
-        help="pack configurations into integer keys (--no-packed falls "
-             "back to the object-tuple encoding; reports are identical)",
     )
     explore.add_argument(
         "--verify-serial", action="store_true",

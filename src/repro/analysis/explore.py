@@ -44,13 +44,13 @@ only*, so sharing them across units — or not — cannot change any report;
 docs/PERFORMANCE.md records the purity assumptions they rely on and the
 measured effect.
 
-Two further levers live on the context.  With ``packed=True`` (the
-default) every distinct process state and memory value is interned to a
-small integer in a per-context table and each configuration is keyed by a
-pair of machine-word-packed integers (``_SLOT_BITS`` bits per process /
-component), so interning and successor lookups hash and compare ints
-instead of wide object tuples; the packed path is pure key encoding and
-produces byte-identical reports (enforced by the frozen differential
+Configurations are keyed by a packed encoding: every distinct process
+state and memory value is interned to a small integer in a per-context
+table and each configuration is keyed by a pair of machine-word-packed
+integers (``_SLOT_BITS`` bits per process / component), so interning and
+successor lookups hash and compare ints instead of wide object tuples.
+The encoding is pure key representation: reports equal those of the
+frozen reference explorer byte for byte (enforced by the differential
 suite).  With ``symmetry=True`` the per-unit depth memo is keyed by the
 configuration's *canonical form under process permutation* — the packed
 sorted state-id multiset plus the memory key — so configurations that
@@ -171,8 +171,8 @@ class ExplorationReport:
 _MISSING = object()
 
 #: Bits per process / memory slot in packed configuration keys.  Interned
-#: state/value ids live in ``[0, 2**_SLOT_BITS)``; a protocol instance
-#: with more distinct states or written values than that is rejected.
+#: state/value ids live in ``[0, _SLOT_LIMIT)``; a protocol instance with
+#: more distinct states or written values than that is rejected.
 _SLOT_BITS = 32
 _SLOT_LIMIT = 1 << _SLOT_BITS
 
@@ -190,13 +190,18 @@ def _pack(ids: Sequence[int]) -> int:
 class _Config:
     """One interned system configuration (hash-consed by the context).
 
-    ``states``/``memory`` are the raw tuples; ``decided`` maps decided
-    process indices to their DECIDE payloads in ascending index order;
+    ``sids``/``mids`` are the per-slot interned ids of the process states
+    and memory contents and ``skey``/``mkey`` the corresponding packed
+    integers (children derive theirs from the parent's with one
+    shifted-delta addition per step).  ``decided`` maps decided process
+    indices to their DECIDE payloads in ascending index order;
     ``undecided`` is the ascending tuple of indices still poised to scan
     or update.  ``succ`` caches the interned successor per stepped index
     and ``check_cache`` the task checker's verdict — both pure functions
     of the configuration given the context's protocol/task, so caching
-    them can never change a report.
+    them can never change a report.  ``canon`` lazily caches the
+    canonical key under process permutation used by symmetry-reduced
+    memo tables.
 
     Interning makes identity coincide with configuration equality, so
     memo tables keyed by ``_Config`` nodes use the default identity hash
@@ -204,18 +209,10 @@ class _Config:
     ``decided``/``undecided`` may be shared between a parent and a child
     that made no new decision; treat them as immutable.
 
-    On a packed context the node also carries its packed encoding:
-    ``sids``/``mids`` are the per-slot interned ids of ``states`` and
-    ``memory`` and ``skey``/``mkey`` the corresponding packed integers
-    (children derive theirs from the parent's with one shifted-delta
-    addition per step).  ``canon`` lazily caches the canonical key under
-    process permutation used by symmetry-reduced memo tables.  On an
-    unpacked context all five stay ``None``.
-
-    Packed nodes are created with ``states``/``memory`` as ``None``:
-    the hot path runs entirely on slot ids and packed keys, and the raw
-    tuples are materialized from the context's reverse table only when
-    a transition-cache miss (or an external caller, via
+    The raw ``states``/``memory`` tuples start as ``None``: the hot path
+    runs entirely on slot ids and packed keys, and the tuples are
+    materialized from the context's reverse table only when a
+    transition-cache miss (or an external caller, via
     :meth:`ExplorationContext.states_of` /
     :meth:`ExplorationContext.memory_of`) actually needs the objects.
     """
@@ -225,24 +222,20 @@ class _Config:
 
     def __init__(
         self,
-        states: Optional[Tuple],
-        memory: Optional[Tuple],
         decided: Dict[int, Any],
         undecided: Tuple[int, ...],
-        skey: Optional[int] = None,
-        sids: Optional[Tuple[int, ...]] = None,
-        mkey: Optional[int] = None,
-        mids: Optional[Tuple[int, ...]] = None,
+        skey: int,
+        sids: Tuple[int, ...],
+        mkey: int,
+        mids: Tuple[int, ...],
     ) -> None:
-        self.states = states
-        self.memory = memory
+        self.states: Optional[Tuple] = None
+        self.memory: Optional[Tuple] = None
         self.decided = decided
         self.undecided = undecided
         # One slot per process; replay steps by decided processes cache
         # the parent itself, so a list (no key hashing) suffices.
-        self.succ: List[Optional["_Config"]] = [None] * (
-            len(states) if states is not None else len(sids)
-        )
+        self.succ: List[Optional["_Config"]] = [None] * len(sids)
         self.check_cache: Optional[List[str]] = None
         self.skey = skey
         self.sids = sids
@@ -256,16 +249,17 @@ class ExplorationContext:
 
     Owns the hot-path caches the explorer, fuzzer, and shrinker share:
 
-    - ``poised(state)`` — the protocol's classification of each distinct
-      process state, computed once per state instead of once per visit;
-    - scan/update successors — ``advance`` results keyed by
-      ``(state, observation)`` for scans (the observation is the memory
-      snapshot) and by ``state`` alone for updates (their observation is
-      always ``None``);
-    - the intern table mapping raw ``(states, memory)`` pairs to
+    - the intern table mapping every distinct process state and memory
+      value to a small slot id, and packed ``(skey, mkey)`` pairs to
       :class:`_Config` nodes, each carrying its decided/undecided split
       (maintained incrementally: only the stepped process can change
-      decision status) and a per-index successor cache.
+      decision status) and a per-index successor cache;
+    - ``protocol.poised`` per slot id, computed once per distinct state
+      instead of once per visit;
+    - scan/update/RMW successors — ``advance`` results keyed by slot ids:
+      ``(state, memory key)`` for scans (the observation is the memory
+      snapshot), the state alone for updates (their observation is
+      always ``None``), and ``(state, old component value)`` for RMWs.
 
     Everything cached is *pure derived data* under the documented
     :class:`~repro.protocols.base.Protocol` contract (hashable immutable
@@ -276,11 +270,7 @@ class ExplorationContext:
     See docs/PERFORMANCE.md for the full purity contract and the
     measured effect.
 
-    ``packed`` (default) interns every distinct state and memory value to
-    a small integer and keys the intern/successor tables by packed
-    integer pairs instead of object tuples — pure key encoding, reports
-    are byte-identical.  ``symmetry`` additionally asks for symmetry
-    reduction; it requires the packed encoding and takes effect only when
+    ``symmetry`` asks for symmetry reduction; it takes effect only when
     the protocol declares :data:`~repro.protocols.base.SYMMETRY_FULL`
     (``self.symmetry`` records whether reduction is active;
     identity-group protocols keep exact unreduced semantics).
@@ -291,21 +281,14 @@ class ExplorationContext:
         protocol: Protocol,
         inputs: Sequence[Any],
         task: Any = None,
-        packed: bool = True,
         symmetry: bool = False,
     ) -> None:
         self.protocol = protocol
         self.inputs = tuple(inputs)
         self.task = task
-        self.packed = bool(packed)
         self.symmetry_requested = bool(symmetry)
         self.symmetry = False
         if symmetry:
-            if not self.packed:
-                raise ValidationError(
-                    "symmetry reduction requires the packed configuration "
-                    "encoding (symmetry=True with packed=False)"
-                )
             group = protocol.symmetry()
             if group not in (SYMMETRY_FULL, SYMMETRY_IDENTITY):
                 raise ValidationError(
@@ -313,49 +296,31 @@ class ExplorationContext:
                     f"(expected {SYMMETRY_FULL!r} or {SYMMETRY_IDENTITY!r})"
                 )
             self.symmetry = group == SYMMETRY_FULL
-        self._poised: Dict[Any, Tuple[str, Any]] = {}
-        #: Unpacked scan successors: ``(state, memory) -> new state``
-        #: (packed contexts use ``_scan_by_sid`` instead).
-        self._scan_succ: Dict[Tuple[Any, Any], Any] = {}
-        #: Packed: ``sid -> (new sid, component, value mid)``; unpacked:
-        #: ``state -> (new state, component, value)``.  A context lives
-        #: in one mode, so the key shapes never share a table instance.
-        self._update_succ: Dict[Any, Tuple[Any, int, Any]] = {}
+        #: ``sid -> (new sid, component, value mid)``.
+        self._update_succ: Dict[int, Tuple[int, int, int]] = {}
         #: RMW successors depend on the component's *current* contents
         #: (an RMW reads what it overwrites), so the key carries it:
-        #: packed ``(sid, old mid) -> (new sid, new value mid)``;
-        #: unpacked ``(state, old value) -> (new state, new value)``.
-        self._rmw_succ: Dict[Tuple[Any, Any], Tuple[Any, Any]] = {}
-        self._configs: Dict[Tuple, _Config] = {}
-        #: state/value -> slot id for the packed encoding.  States and
-        #: memory values share one table; ids are assigned in first-seen
-        #: order, so the mapping is deterministic per traversal order but
-        #: never observable in a report (keys only gate equality).
+        #: ``(sid, old mid) -> (new sid, new value mid)``.
+        self._rmw_succ: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        self._configs: Dict[Tuple[int, int], _Config] = {}
+        #: state/value -> slot id.  States and memory values share one
+        #: table; ids are assigned in first-seen order, so the mapping is
+        #: deterministic per traversal order but never observable in a
+        #: report (keys only gate equality).
         self._ids: Dict[Any, int] = {}
-        #: id -> state/value, the inverse of ``_ids`` (packed contexts
-        #: materialize tuples from it on transition-cache misses).
+        #: id -> state/value, the inverse of ``_ids`` (tuples are
+        #: materialized from it on transition-cache misses).
         self._values: List[Any] = []
         #: id -> cached ``protocol.poised`` entry, filled on first use
         #: (slots holding memory values simply never get asked).
         self._poised_ids: List[Optional[Tuple[str, Any]]] = []
-        #: id -> ``{memory key -> scanned successor id}`` for the packed
-        #: scan cache, created lazily per scanning state.
+        #: id -> ``{memory key -> scanned successor id}`` for the scan
+        #: cache, created lazily per scanning state.
         self._scan_by_sid: List[Optional[Dict[int, int]]] = []
-        #: One attribute load dispatches the encoding for the hot path.
-        self.child = (
-            self._child_packed if self.packed else self._child_unpacked
-        )
         states = tuple(
             protocol.initial_state(i, v) for i, v in enumerate(inputs)
         )
         self.root = self._intern_scan(states, (None,) * protocol.m)
-
-    def poised(self, state: Any) -> Tuple[str, Any]:
-        """``protocol.poised(state)``, computed once per distinct state."""
-        entry = self._poised.get(state)
-        if entry is None:
-            entry = self._poised[state] = self.protocol.poised(state)
-        return entry
 
     def _id(self, value: Any) -> int:
         """The slot id interning a state or memory value (assigning one
@@ -370,8 +335,8 @@ class ExplorationContext:
             if found >= _SLOT_LIMIT:
                 raise ValidationError(
                     f"{self.protocol.name}: more than {_SLOT_LIMIT} "
-                    "distinct states/values; packed exploration cannot "
-                    "encode this instance (pass packed=False)"
+                    "distinct states/values; the packed configuration "
+                    "encoding cannot represent this instance"
                 )
             ids[value] = found
             self._values.append(value)
@@ -382,9 +347,8 @@ class ExplorationContext:
     def _poised_by_id(self, sid: int) -> Tuple[str, Any]:
         """``protocol.poised`` for a slot id, computed once per id.
 
-        The packed hot path classifies states by list index instead of
-        re-hashing the state object; the entry is the same pure
-        ``poised`` result the unpacked cache would hold.
+        The hot path classifies states by list index instead of
+        re-hashing the state object.
         """
         entry = self._poised_ids[sid]
         if entry is None:
@@ -394,8 +358,8 @@ class ExplorationContext:
         return entry
 
     def states_of(self, config: _Config) -> Tuple:
-        """The configuration's raw state tuple (materialized lazily on
-        packed contexts, where the hot path runs on slot ids)."""
+        """The configuration's raw state tuple (materialized lazily: the
+        hot path runs on slot ids)."""
         states = config.states
         if states is None:
             values = self._values
@@ -421,7 +385,7 @@ class ExplorationContext:
         configurations share a canonical key iff one is a process
         permutation of the other (memory is permutation-invariant —
         component j is component j for every process).  Cached on the
-        node; packed contexts only."""
+        node."""
         key = config.canon
         if key is None:
             key = (_pack(sorted(config.sids)), config.mkey)
@@ -431,108 +395,35 @@ class ExplorationContext:
     def _intern_scan(self, states: Tuple, memory: Tuple) -> _Config:
         """Intern a configuration, deriving the decided split by full scan
         (used only for roots; children derive it incrementally)."""
-        if self.packed:
-            sids = tuple(self._id(state) for state in states)
-            mids = tuple(self._id(value) for value in memory)
-            skey = _pack(sids)
-            mkey = _pack(mids)
-            key: Tuple = (skey, mkey)
-        else:
-            sids = mids = skey = mkey = None
-            key = (states, memory)
+        sids = tuple(self._id(state) for state in states)
+        mids = tuple(self._id(value) for value in memory)
+        skey = _pack(sids)
+        mkey = _pack(mids)
+        key = (skey, mkey)
         config = self._configs.get(key)
         if config is None:
             decided: Dict[int, Any] = {}
             undecided: List[int] = []
-            for index, state in enumerate(states):
-                kind, payload = self.poised(state)
+            for index, sid in enumerate(sids):
+                kind, payload = self._poised_by_id(sid)
                 if kind == DECIDE:
                     decided[index] = payload
                 else:
                     undecided.append(index)
             config = _Config(
-                states, memory, decided, tuple(undecided),
-                skey, sids, mkey, mids,
+                decided, tuple(undecided), skey, sids, mkey, mids
             )
             self._configs[key] = config
         return config
 
-    def _child_unpacked(self, parent: _Config, index: int) -> _Config:
+    def child(self, parent: _Config, index: int) -> _Config:
         """The configuration after process ``index`` takes one step.
 
         Stepping a decided process is a no-op returning ``parent``
         (replay semantics).  The result is interned and cached on the
         parent, so each edge of the configuration graph pays for its
-        transition exactly once per context.  ``child`` is bound to
-        this or to :meth:`_child_packed` at construction — one
-        attribute load dispatches the mode, not a per-call branch.
-        """
-        cached = parent.succ[index]
-        if cached is not None:
-            return cached
-        state = parent.states[index]
-        kind, payload = self.poised(state)
-        if kind == DECIDE:
-            parent.succ[index] = parent
-            return parent
-        memory = parent.memory
-        if kind == SCAN:
-            scan_key = (state, memory)
-            new_state = self._scan_succ.get(scan_key, _MISSING)
-            if new_state is _MISSING:
-                new_state = self.protocol.advance(state, memory)
-                self._scan_succ[scan_key] = new_state
-            new_memory = memory
-        elif kind == RMW:
-            component, op, args = payload
-            old_value = memory[component]
-            # op/args are functions of the state, so (state, old value)
-            # determines both the written value and the advanced state.
-            rmw_key = (state, old_value)
-            entry = self._rmw_succ.get(rmw_key)
-            if entry is None:
-                new_value, result = apply_rmw(op, old_value, args)
-                entry = (self.protocol.advance(state, result), new_value)
-                self._rmw_succ[rmw_key] = entry
-            new_state, new_value = entry
-            new_memory = (
-                memory[:component] + (new_value,) + memory[component + 1:]
-            )
-        else:
-            entry = self._update_succ.get(state)
-            if entry is None:
-                component, value = payload
-                entry = (self.protocol.advance(state, None), component, value)
-                self._update_succ[state] = entry
-            new_state, component, value = entry
-            new_memory = (
-                memory[:component] + (value,) + memory[component + 1:]
-            )
-        states = parent.states
-        new_states = states[:index] + (new_state,) + states[index + 1:]
-        key = (new_states, new_memory)
-        config = self._configs.get(key)
-        if config is None:
-            new_kind, new_payload = self.poised(new_state)
-            if new_kind == DECIDE:
-                decided = dict(parent.decided)
-                decided[index] = new_payload
-                if any(k > index for k in parent.decided):
-                    decided = {k: decided[k] for k in sorted(decided)}
-                undecided = tuple(
-                    k for k in parent.undecided if k != index
-                )
-            else:
-                decided = parent.decided
-                undecided = parent.undecided
-            config = _Config(new_states, new_memory, decided, undecided)
-            self._configs[key] = config
-        parent.succ[index] = config
-        return config
-
-    def _child_packed(self, parent: _Config, index: int) -> _Config:
-        """The packed successor computation: slot ids and packed keys
-        only.  State and memory *objects* are touched exclusively on
+        transition exactly once per context.  Slot ids and packed keys
+        only: state and memory *objects* are touched exclusively on
         transition-cache misses — every revisit of a known ``(state,
         memory snapshot)`` pair runs on machine words (list indexing,
         int-keyed dict gets, and one shifted-delta addition per step)
@@ -622,9 +513,7 @@ class ExplorationContext:
             sids = (
                 parent.sids[:index] + (new_sid,) + parent.sids[index + 1:]
             )
-            config = _Config(
-                None, None, decided, undecided, skey, sids, mkey, mids,
-            )
+            config = _Config(decided, undecided, skey, sids, mkey, mids)
             self._configs[key] = config
         parent.succ[index] = config
         return config
@@ -903,7 +792,6 @@ def explore_prefix_range(
     stop_at_first_violation: bool = True,
     context: Optional[ExplorationContext] = None,
     certificates: bool = False,
-    packed: bool = True,
     symmetry: bool = False,
 ) -> ExplorationReport:
     """Explore units ``start..stop-1`` of a prefix decomposition.
@@ -915,12 +803,12 @@ def explore_prefix_range(
     function :class:`repro.campaign.ExploreJob` workers execute.
 
     All units share one :class:`ExplorationContext` (``context``, or a
-    fresh one built with ``packed``/``symmetry``; a supplied context must
-    already carry the same modes) for its pure transition caches; each
-    unit still gets a fresh depth memo, so the merged report is
-    byte-identical whether units run in one call, in separate calls, or
-    on separate workers — in every mode, since the per-unit function and
-    the merge are mode-parametric but worker-independent.
+    fresh one built with ``symmetry``; a supplied context must already
+    carry the same mode) for its pure transition caches; each unit still
+    gets a fresh depth memo, so the merged report is byte-identical
+    whether units run in one call, in separate calls, or on separate
+    workers — with or without symmetry reduction, since the per-unit
+    function and the merge are mode-parametric but worker-independent.
 
     With ``certificates=True`` the range's report carries a witness
     certificate for its counterexample (:mod:`repro.certify`); merging
@@ -931,17 +819,14 @@ def explore_prefix_range(
     unchanged.
     """
     budget = unit_budget(max_configs, len(prefixes))
-    if context is not None and (
-        context.packed != packed
-        or context.symmetry_requested != symmetry
-    ):
+    if context is not None and context.symmetry_requested != symmetry:
         raise ValidationError(
             "supplied ExplorationContext was built with "
-            f"packed={context.packed}, symmetry={context.symmetry_requested} "
-            f"but the call asked for packed={packed}, symmetry={symmetry}"
+            f"symmetry={context.symmetry_requested} but the call asked "
+            f"for symmetry={symmetry}"
         )
     ctx = context if context is not None else ExplorationContext(
-        protocol, inputs, task, packed=packed, symmetry=symmetry
+        protocol, inputs, task, symmetry=symmetry
     )
     report = ExplorationReport()
     for prefix in prefixes[start:stop]:
@@ -969,7 +854,6 @@ def explore_protocol(
     stop_at_first_violation: bool = True,
     prefix_depth: int = 0,
     certificates: bool = False,
-    packed: bool = True,
     symmetry: bool = False,
 ) -> ExplorationReport:
     """Explore every interleaving of a protocol instance, checking safety.
@@ -994,11 +878,9 @@ def explore_protocol(
         certificates: emit a witness certificate for the counterexample
             (:mod:`repro.certify`); requires a registered protocol/task
             descriptor.
-        packed: use the packed configuration encoding (the default;
-            pure key encoding, reports are byte-identical either way).
         symmetry: canonicalize configurations under process permutation
-            before memo lookup; requires ``packed`` and reduces only
-            protocols declaring full symmetry.  Reduced reports keep the
+            before memo lookup; reduces only protocols declaring full
+            symmetry.  Reduced reports keep the
             safe/unsafe verdict and a replayable counterexample but
             count canonical classes, not raw configurations.
     """
@@ -1007,15 +889,13 @@ def explore_protocol(
             f"{protocol.name} supports n={protocol.n}, got {len(inputs)} inputs"
         )
     depth = effective_prefix_depth(prefix_depth, max_steps)
-    ctx = ExplorationContext(
-        protocol, inputs, task, packed=packed, symmetry=symmetry
-    )
+    ctx = ExplorationContext(protocol, inputs, task, symmetry=symmetry)
     prefixes = schedule_prefixes(protocol, inputs, depth, context=ctx)
     return explore_prefix_range(
         protocol, inputs, task, prefixes, 0, len(prefixes),
         max_configs=max_configs, max_steps=max_steps,
         stop_at_first_violation=stop_at_first_violation, context=ctx,
-        certificates=certificates, packed=packed, symmetry=symmetry,
+        certificates=certificates, symmetry=symmetry,
     )
 
 

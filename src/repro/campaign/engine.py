@@ -434,14 +434,13 @@ def explore_campaign(
     resume: bool = False,
     strict: bool = False,
     verify_certificates: bool = False,
-    packed: bool = True,
     symmetry: bool = False,
 ) -> CampaignResult:
     """Sharded bounded-exhaustive exploration over schedule-prefix subtrees.
 
     Equivalent to :func:`~repro.analysis.explore.explore_protocol` with
-    the same ``prefix_depth`` (and the same ``packed``/``symmetry``
-    modes): the merged
+    the same ``prefix_depth`` (and the same ``symmetry`` mode): the
+    merged
     :class:`~repro.analysis.explore.ExplorationReport` is field-for-field
     identical for every ``workers``/``chunk_size`` choice.
     """
@@ -449,7 +448,7 @@ def explore_campaign(
         protocol=protocol, inputs=tuple(inputs), task=task,
         max_configs=max_configs, max_steps=max_steps,
         stop_at_first_violation=stop_at_first_violation,
-        prefix_depth=prefix_depth, packed=packed, symmetry=symmetry,
+        prefix_depth=prefix_depth, symmetry=symmetry,
     )
     return run_campaign(
         job, workers=workers, chunk_size=chunk_size, retry=retry,

@@ -245,11 +245,10 @@ class ExploreJob(_CertifiableJob):
     :class:`~repro.analysis.explore.ExplorationReport` is identical to a
     serial ``explore_protocol`` call with the same ``prefix_depth``.
 
-    ``packed`` and ``symmetry`` select the configuration encoding and
-    symmetry reduction exactly as on ``explore_protocol``; both are part
-    of the job (and therefore of checkpoint fingerprints), and serial ==
-    sharded holds in every mode because each worker builds its context
-    from the same flags.
+    ``symmetry`` selects symmetry reduction exactly as on
+    ``explore_protocol``; it is part of the job (and therefore of
+    checkpoint fingerprints), and serial == sharded holds in both modes
+    because each worker builds its context from the same flag.
     """
 
     protocol: Protocol
@@ -260,7 +259,6 @@ class ExploreJob(_CertifiableJob):
     stop_at_first_violation: bool = True
     prefix_depth: int = 2
     certificates: bool = False
-    packed: bool = True
     symmetry: bool = False
 
     def _prefixes(self) -> Tuple[Tuple[int, ...], ...]:
@@ -284,7 +282,7 @@ class ExploreJob(_CertifiableJob):
             max_steps=self.max_steps,
             stop_at_first_violation=self.stop_at_first_violation,
             certificates=self.certificates,
-            packed=self.packed, symmetry=self.symmetry,
+            symmetry=self.symmetry,
         )
 
     def describe_range(self, start: int, stop: int) -> str:

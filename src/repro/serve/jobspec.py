@@ -10,7 +10,7 @@ and ``repro explore`` CLIs take, as a JSON object::
     {"experiment": "explore",  "scenario": "truncated", "symmetry": false}
 
 plus the engine options every experiment accepts: ``chunk_size``,
-``verify_certificates``, and (explore only) ``packed``/``symmetry``.
+``verify_certificates``, and (explore only) ``symmetry``.
 :func:`build_job` turns a validated spec into the exact same frozen
 campaign job the CLI would build, so a service job's merged report is
 ``==``-identical to the batch run of the same parameters — and the
@@ -18,9 +18,9 @@ spec JSON is what the job store persists, so a restarted server
 rebuilds byte-identical jobs (and hence matching checkpoint
 fingerprints) from disk.
 
-Validation is strict: unknown experiments, unknown keys, out-of-range
-sizes, and the unsupported ``symmetry`` + ``packed=False`` combination
-all raise :class:`JobSpecError`, which the HTTP layer maps to 400.
+Validation is strict: unknown experiments, unknown keys, and
+out-of-range sizes all raise :class:`JobSpecError`, which the HTTP
+layer maps to 400.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ class JobSpec:
     max_configs: int = 200_000
     max_steps: Optional[int] = 30
     prefix_depth: int = 2
-    packed: bool = True
     symmetry: bool = False
     chunk_size: Optional[int] = None
     verify_certificates: bool = False
@@ -120,11 +119,6 @@ class JobSpec:
             raise JobSpecError(
                 f"chunk_size must be >= 1 or null, got {self.chunk_size}"
             )
-        if self.symmetry and not self.packed:
-            raise JobSpecError(
-                "symmetry requires the packed encoding "
-                "(drop \"packed\": false)"
-            )
 
     def to_dict(self) -> Dict[str, Any]:
         """The spec as a JSON-ready dict (the persisted wire form)."""
@@ -156,8 +150,7 @@ class JobSpec:
             if spec_field.name not in data:
                 continue
             value = data[spec_field.name]
-            if spec_field.name in ("packed", "symmetry",
-                                   "verify_certificates"):
+            if spec_field.name in ("symmetry", "verify_certificates"):
                 if not isinstance(value, bool):
                     raise JobSpecError(
                         f"{spec_field.name} must be a boolean, got "
@@ -233,6 +226,5 @@ def build_job(spec: JobSpec):
     return ExploreJob(
         protocol=protocol, inputs=inputs, task=task,
         max_configs=spec.max_configs, max_steps=spec.max_steps,
-        prefix_depth=spec.prefix_depth, packed=spec.packed,
-        symmetry=spec.symmetry,
+        prefix_depth=spec.prefix_depth, symmetry=spec.symmetry,
     )

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError
-from repro.serve.jobspec import JobSpec
+from repro.serve.jobspec import JobSpec, JobSpecError
 
 #: Version stamp for ``job.json``; bump on layout changes.
 JOB_SCHEMA_VERSION = 1
@@ -204,7 +204,7 @@ class JobStore:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 return ServeJob.from_dict(json.load(handle))
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, JobSpecError) as exc:
             raise StoreError(
                 f"cannot read job {job_id!r}: {exc}"
             ) from exc

@@ -6,10 +6,16 @@ of the production engine in :mod:`repro.analysis.explore`: ``poised`` is
 re-called on every visit, ``_step`` rebuilds full state/memory tuples,
 every frontier node carries an O(depth) schedule copy, and the memo
 re-hashes wide configuration tuples.  It exists so the differential
-property tests (``tests/campaign/test_explore_differential.py``) can
+property tests (``tests/analysis/test_reference_differential.py``) can
 prove the optimized engine emits byte-identical
 :class:`~repro.analysis.explore.ExplorationReport` objects — serial and
 sharded — across the protocol corpus.
+
+The one later addition is the read-modify-write poised kind in
+:func:`_step`.  Its semantics come from the certificate verifier's own
+:func:`~repro.certify.replay.verifier_rmw`, never from the
+:func:`~repro.memory.rmw.apply_rmw` table the explorer uses, so the
+RMW protocol families are checked against an independent definition.
 
 Keep this file dumb on purpose.  Do not optimize it; its value is that
 it computes the report the obvious way.
@@ -22,8 +28,9 @@ from repro.analysis.explore import (
     effective_prefix_depth,
     unit_budget,
 )
+from repro.certify.replay import verifier_rmw
 from repro.errors import ValidationError
-from repro.protocols.base import DECIDE, SCAN, Protocol
+from repro.protocols.base import DECIDE, RMW, SCAN, Protocol
 
 
 def _decisions(protocol: Protocol, states: Tuple) -> Dict[int, Any]:
@@ -43,6 +50,11 @@ def _step(
     if kind == SCAN:
         new_state = protocol.advance(states[index], memory)
         new_memory = memory
+    elif kind == RMW:
+        component, op, args = payload
+        new_value, result = verifier_rmw(op, memory[component], args)
+        new_state = protocol.advance(states[index], result)
+        new_memory = memory[:component] + (new_value,) + memory[component + 1:]
     else:
         component, value = payload
         new_state = protocol.advance(states[index], None)

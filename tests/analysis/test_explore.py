@@ -312,6 +312,24 @@ class TestExploreBasics:
         assert report.safe
         assert not report.truncated
 
+    def test_slot_overflow_is_rejected_naming_the_protocol(
+        self, monkeypatch
+    ):
+        """More distinct states/values than a packed slot id can hold
+        is a ValidationError, never a silently mis-keyed configuration."""
+        from repro.analysis import explore
+
+        protocol = RacingConsensus(2)
+        monkeypatch.setattr(explore, "_SLOT_LIMIT", 8)
+        with pytest.raises(ValidationError) as excinfo:
+            explore_protocol(
+                protocol, [0, 1], KSetAgreementTask(1),
+                max_configs=100_000, max_steps=30,
+            )
+        message = str(excinfo.value)
+        assert message.startswith(f"{protocol.name}: ")
+        assert "more than 8 distinct states/values" in message
+
 
 class TestObstructionProbes:
     def test_wait_free_protocol_always_passes(self):

@@ -9,7 +9,8 @@ regression gadgets, whose traversal-order and budget edge cases are
 exactly what caching tends to perturb — both must produce identical
 :class:`ExplorationReport` values field-for-field, as ``repr`` byte
 strings, and as summaries, serially and when sharded over prefix
-ranges.
+ranges.  The read-modify-write families (swap, test-and-set,
+compare-and-swap, the large-register emulation) are pinned the same way.
 """
 
 import pytest
@@ -134,26 +135,6 @@ class TestShardedDifferential:
         assert_reports_identical(merged, reference)
 
 
-class TestUnpackedDifferential:
-    """The ``packed=False`` fallback encoding also equals the reference
-    (the packed default is covered by every other class here; together
-    they pin that the encoding choice is pure key representation)."""
-
-    @pytest.mark.parametrize("case", range(len(CASES)))
-    @pytest.mark.parametrize("stop_first", [True, False])
-    def test_report_identical(self, case, stop_first):
-        factory, inputs, task, bounds = CASES[case]
-        reference = reference_explore_protocol(
-            factory(), inputs, task,
-            stop_at_first_violation=stop_first, **bounds,
-        )
-        unpacked = explore_protocol(
-            factory(), inputs, task,
-            stop_at_first_violation=stop_first, packed=False, **bounds,
-        )
-        assert_reports_identical(unpacked, reference)
-
-
 class SwapThenWrite(Protocol):
     """Gadget mixing an RMW step with updates and scans.
 
@@ -193,10 +174,9 @@ class SwapThenWrite(Protocol):
         return ("done", index, observation[0])
 
 
-# The frozen reference explorer predates the RMW poised kind, so these
-# cases are differential between the *live* encodings and execution
-# layouts only: packed vs unpacked vs sharded must still agree
-# byte-for-byte on every base-object family.
+# The RMW base-object families: the reference steps them with the
+# certificate verifier's own RMW semantics, independent of the
+# ``apply_rmw`` table the explorer uses.
 RMW_CASES = [
     (lambda: SwapConsensus(3), [0, 1, 2],
      KSetAgreementTask(1), dict(max_configs=100_000, max_steps=None)),
@@ -213,50 +193,48 @@ RMW_CASES = [
 
 
 class TestBaseObjectEncodingDifferential:
-    """Packed vs unpacked vs sharded over the RMW protocol families."""
+    """The explorer equals the reference over the RMW protocol families,
+    serially and sharded."""
 
     @pytest.mark.parametrize("case", range(len(RMW_CASES)))
     @pytest.mark.parametrize("stop_first", [True, False])
-    def test_packed_equals_unpacked(self, case, stop_first):
+    @pytest.mark.parametrize("prefix_depth", [0, 2])
+    def test_packed_equals_reference(self, case, stop_first, prefix_depth):
         factory, inputs, task, bounds = RMW_CASES[case]
-        packed = explore_protocol(
-            factory(), inputs, task,
-            stop_at_first_violation=stop_first, packed=True, **bounds,
+        reference = reference_explore_protocol(
+            factory(), inputs, task, stop_at_first_violation=stop_first,
+            prefix_depth=prefix_depth, **bounds,
         )
-        unpacked = explore_protocol(
-            factory(), inputs, task,
-            stop_at_first_violation=stop_first, packed=False, **bounds,
+        optimized = explore_protocol(
+            factory(), inputs, task, stop_at_first_violation=stop_first,
+            prefix_depth=prefix_depth, **bounds,
         )
-        assert_reports_identical(packed, unpacked)
+        assert_reports_identical(optimized, reference)
 
     @pytest.mark.parametrize("case", range(len(RMW_CASES)))
-    @pytest.mark.parametrize("packed", [True, False])
-    def test_halves_merge_to_serial(self, case, packed):
+    def test_halves_merge_to_reference_serial(self, case):
         factory, inputs, task, bounds = RMW_CASES[case]
         depth = 2
-        serial = explore_protocol(
-            factory(), inputs, task, prefix_depth=depth, packed=packed,
-            **bounds,
+        reference = reference_explore_protocol(
+            factory(), inputs, task, prefix_depth=depth, **bounds,
         )
         protocol = factory()
         prefixes = schedule_prefixes(protocol, inputs, depth)
         half = len(prefixes) // 2
         left = explore_prefix_range(
-            protocol, inputs, task, prefixes, 0, half, packed=packed,
-            **bounds,
+            protocol, inputs, task, prefixes, 0, half, **bounds
         )
         right = explore_prefix_range(
-            protocol, inputs, task, prefixes, half, len(prefixes),
-            packed=packed, **bounds,
+            protocol, inputs, task, prefixes, half, len(prefixes), **bounds
         )
-        assert_reports_identical(left.merge(right), serial)
+        assert_reports_identical(left.merge(right), reference)
 
     @pytest.mark.parametrize("case", range(len(RMW_CASES)))
     def test_shared_context_across_shards_is_pure(self, case):
         """The RMW successor cache must not leak state between units."""
         factory, inputs, task, bounds = RMW_CASES[case]
         protocol = factory()
-        serial = explore_protocol(
+        reference = reference_explore_protocol(
             protocol, inputs, task, prefix_depth=2, **bounds,
         )
         ctx = ExplorationContext(protocol, inputs, task)
@@ -268,7 +246,7 @@ class TestBaseObjectEncodingDifferential:
                 context=ctx, **bounds,
             )
             merged = shard if merged is None else merged.merge(shard)
-        assert_reports_identical(merged, serial)
+        assert_reports_identical(merged, reference)
 
 
 class TestPrefixDecompositionDifferential:

@@ -2,11 +2,10 @@
 
 Three layers of guarantees:
 
-* the packed configuration encoding is pure key encoding —
-  ``packed=False`` and ``packed=True`` produce byte-identical reports
-  (the frozen reference suite already pins the packed default against
-  the pre-optimization explorer; here the unpacked path is pinned
-  against the packed one across the same corpus, serially and sharded);
+* the packed configuration encoding is pure key encoding — the explorer
+  produces reports byte-identical to the frozen reference explorer
+  across this corpus (which adds the anonymous protocols to the
+  reference suite's), serially and sharded;
 * symmetry reduction keeps the differential contract: identical reports
   for identity-group protocols (the reduction must be inert), and for
   full-symmetric protocols the same safe/unsafe verdict with a
@@ -34,6 +33,7 @@ from repro.protocols import (
     TruncatedProtocol,
 )
 from repro.protocols.base import SYMMETRY_FULL, SYMMETRY_IDENTITY, Protocol
+from tests.analysis.reference_explore import reference_explore_protocol
 from tests.analysis.test_explore import DiamondTrap, LastConfigBad
 
 CASES = [
@@ -70,13 +70,6 @@ class TestSymmetryDeclarations:
     def test_anonymous_declares_full(self):
         assert AnonymousSweepConsensus(3).symmetry() == SYMMETRY_FULL
 
-    def test_symmetry_requires_packed(self):
-        with pytest.raises(ValidationError):
-            ExplorationContext(
-                RacingConsensus(2), [0, 1], KSetAgreementTask(1),
-                packed=False, symmetry=True,
-            )
-
     def test_unknown_group_rejected(self):
         class Weird(RacingConsensus):
             def symmetry(self):
@@ -97,10 +90,10 @@ class TestSymmetryDeclarations:
         protocol, inputs, task = RacingConsensus(2), [0, 1], KSetAgreementTask(1)
         ctx = ExplorationContext(protocol, inputs, task)
         prefixes = schedule_prefixes(protocol, inputs, 1, context=ctx)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="symmetry"):
             explore_prefix_range(
                 protocol, inputs, task, prefixes, 0, len(prefixes),
-                context=ctx, packed=False,
+                context=ctx, symmetry=True,
             )
 
 
@@ -133,7 +126,8 @@ class TestCanonicalKey:
 
 
 class TestPackedDifferential:
-    """packed=False vs packed=True: byte-identical, serial and sharded."""
+    """The packed explorer equals the frozen reference explorer,
+    serially and sharded."""
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     @pytest.mark.parametrize("stop_first", [True, False])
@@ -143,11 +137,11 @@ class TestPackedDifferential:
             factory(), inputs, task,
             stop_at_first_violation=stop_first, **bounds,
         )
-        unpacked = explore_protocol(
+        reference = reference_explore_protocol(
             factory(), inputs, task,
-            stop_at_first_violation=stop_first, packed=False, **bounds,
+            stop_at_first_violation=stop_first, **bounds,
         )
-        assert_reports_identical(packed, unpacked)
+        assert_reports_identical(packed, reference)
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_sharded_halves(self, case):
@@ -158,18 +152,16 @@ class TestPackedDifferential:
         )
         prefixes = schedule_prefixes(protocol, inputs, depth)
         mid = len(prefixes) // 2
-        merged = {}
-        for packed in (True, False):
-            left = explore_prefix_range(
-                protocol, inputs, task, prefixes, 0, mid,
-                packed=packed, **bounds,
-            )
-            right = explore_prefix_range(
-                protocol, inputs, task, prefixes, mid, len(prefixes),
-                packed=packed, **bounds,
-            )
-            merged[packed] = left.merge(right)
-        assert_reports_identical(merged[True], merged[False])
+        left = explore_prefix_range(
+            protocol, inputs, task, prefixes, 0, mid, **bounds,
+        )
+        right = explore_prefix_range(
+            protocol, inputs, task, prefixes, mid, len(prefixes), **bounds,
+        )
+        reference = reference_explore_protocol(
+            factory(), inputs, task, prefix_depth=depth, **bounds,
+        )
+        assert_reports_identical(left.merge(right), reference)
 
 
 class TestSymmetryDifferential:

@@ -114,24 +114,11 @@ class TestExploreDifferential:
 
 
 class TestModeDifferential:
-    """serial == sharded must survive the encoding and symmetry modes:
-    the campaign engine threads ``packed``/``symmetry`` through
+    """serial == sharded must survive symmetry reduction: the campaign
+    engine threads ``symmetry`` through
     :class:`~repro.campaign.jobs.ExploreJob` into every worker, and the
     merged report must stay byte-identical to a serial run in the same
-    mode — and, for ``packed``, to the default mode too."""
-
-    @pytest.mark.parametrize("case", range(len(EXPLORE_CASES)))
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_unpacked_sharded_matches_packed_serial(self, case, workers):
-        make, inputs, task, bounds, _ = EXPLORE_CASES[case]
-        serial = explore_protocol(
-            make(), inputs, task, prefix_depth=2, **bounds
-        )
-        result = explore_campaign(
-            make(), inputs, task, prefix_depth=2, workers=workers,
-            chunk_size=2, packed=False, **bounds
-        )
-        assert_reports_identical(result.report, serial)
+    mode."""
 
     @pytest.mark.parametrize("workers", WORKER_GRID)
     def test_symmetry_sharded_matches_symmetry_serial(self, workers):
@@ -169,10 +156,8 @@ class TestModeDifferential:
             ExploreJob(protocol=make(), inputs=tuple(inputs), task=task,
                        prefix_depth=2, **bounds),
             ExploreJob(protocol=make(), inputs=tuple(inputs), task=task,
-                       prefix_depth=2, packed=False, **bounds),
-            ExploreJob(protocol=make(), inputs=tuple(inputs), task=task,
                        prefix_depth=2, symmetry=True, **bounds),
         ]
         prints = {job_fingerprint(job, 4, 1) for job in jobs}
         # A checkpoint written in one mode must not resume in another.
-        assert len(prints) == 3
+        assert len(prints) == 2

@@ -122,6 +122,14 @@ class TestLiveRoutes:
                 assert "unknown experiment" in payload["error"]
                 conn.close()
 
+                status, payload = await call(
+                    raw, "POST", "/jobs",
+                    b'{"experiment": "explore", "packed": true}',
+                )
+                assert status == 400
+                assert "unknown job spec key(s): packed" in payload["error"]
+                conn.close()
+
                 status, _ = await call(raw, "GET", "/jobs/zzz")
                 assert status == 404
                 conn.close()

@@ -19,7 +19,7 @@ class TestValidation:
         assert spec.runs == 200
         assert spec.schedule_length == 40
         assert spec.seeds == 50
-        assert spec.packed is True
+        assert spec.symmetry is False
         assert spec.verify_certificates is False
 
     def test_round_trips_through_dict(self):
@@ -49,7 +49,7 @@ class TestValidation:
         with pytest.raises(JobSpecError, match="must be an integer"):
             JobSpec.from_dict({"experiment": "fuzz", "runs": "many"})
         with pytest.raises(JobSpecError, match="must be a boolean"):
-            JobSpec.from_dict({"experiment": "explore", "packed": 1})
+            JobSpec.from_dict({"experiment": "explore", "symmetry": 1})
 
     def test_rejects_out_of_range_sizes(self):
         with pytest.raises(JobSpecError, match="seeds"):
@@ -58,10 +58,13 @@ class TestValidation:
             JobSpec.from_dict({"experiment": "fuzz",
                                "runs": 100_000_000})
 
-    def test_rejects_symmetry_without_packed(self):
-        with pytest.raises(JobSpecError, match="symmetry"):
-            JobSpec.from_dict({"experiment": "explore",
-                               "symmetry": True, "packed": False})
+    def test_rejects_retired_packed_key(self):
+        """The explorer's ``packed`` option is retired: the key is now
+        unknown, whatever its value."""
+        for value in (True, False):
+            with pytest.raises(JobSpecError, match="unknown job spec key"):
+                JobSpec.from_dict({"experiment": "explore",
+                                   "packed": value})
 
 
 class TestBuildJob:
@@ -130,13 +133,13 @@ class TestScenarioTable:
 
     @pytest.mark.parametrize("spec_dict, expected", [
         ({"experiment": "explore", "scenario": "truncated"},
-         "ea2e48c7df42cbf9"),
+         "c1caa2ea47d0b70b"),
         ({"experiment": "explore", "scenario": "racing"},
-         "3e6f17d23278fce4"),
+         "735db2d69f639c4b"),
         ({"experiment": "explore", "scenario": "minseen"},
-         "78a6a1d7649e538b"),
+         "ae7189879625bc68"),
         ({"experiment": "explore", "scenario": "anonymous"},
-         "881b708574dcf69d"),
+         "2a3bca923f4ffc21"),
         ({"experiment": "protocol", "protocol": "racing"},
          "3d150bccbb4c1b73"),
         ({"experiment": "protocol", "protocol": "minseen"},

@@ -1,5 +1,6 @@
 """The durable job store: atomic status files, event log, results."""
 
+import asyncio
 import json
 import os
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro.campaign import run_campaign
 from repro.serve.jobspec import JobSpec, build_job
+from repro.serve.scheduler import Scheduler
 from repro.serve.store import JobStore, ServeJob, StoreError
 
 SPEC = JobSpec.from_dict({"experiment": "fuzz", "runs": 6})
@@ -64,6 +66,52 @@ class TestLifecycle:
         with open(os.path.join(bad, "job.json"), "w") as handle:
             handle.write("{not json")
         assert [j.id for j in store.list_jobs()] == [job.id]
+
+    @staticmethod
+    def _store_with_stale_spec(tmp_path, spec_dict):
+        """A store holding one valid queued job plus one record whose
+        persisted spec no longer validates."""
+        store = JobStore(str(tmp_path))
+        valid = store.create("alice", SPEC)
+        stale = store.create("bob", SPEC)
+        record = stale.to_dict()
+        record["spec"] = spec_dict
+        path = os.path.join(store.job_dir(stale.id), "job.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(record, handle)
+        return store, valid, stale
+
+    @pytest.mark.parametrize("spec_dict", [
+        {"experiment": "explore", "scenario": "no-such-scenario"},
+        # Records written before the explorer's ``packed`` option was
+        # retired carry the key, which is now unknown.
+        {"experiment": "explore", "packed": True},
+    ])
+    def test_invalid_persisted_spec_is_skipped(self, tmp_path, spec_dict):
+        store, valid, stale = self._store_with_stale_spec(
+            tmp_path, spec_dict
+        )
+        with pytest.raises(StoreError, match=stale.id):
+            store.load(stale.id)
+        assert [job.id for job in store.list_jobs()] == [valid.id]
+        assert [job.id for job in store.recoverable()] == [valid.id]
+
+    def test_scheduler_boots_past_invalid_persisted_spec(self, tmp_path):
+        store, valid, _stale = self._store_with_stale_spec(
+            tmp_path, {"experiment": "explore", "scenario": "gone"}
+        )
+
+        async def boot():
+            scheduler = Scheduler(store, workers=1, executor="thread")
+            try:
+                recovered = await scheduler.start()
+                return recovered, [r.job.id for r in scheduler.runtimes()]
+            finally:
+                await scheduler.stop()
+
+        recovered, job_ids = asyncio.run(boot())
+        assert recovered == 1
+        assert job_ids == [valid.id]
 
     def test_rejects_foreign_schema_version(self, tmp_path):
         store = JobStore(str(tmp_path))

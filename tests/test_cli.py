@@ -225,7 +225,7 @@ class TestBenchCli:
 
 
 class TestCliModes:
-    """--symmetry / --packed wiring and the anonymous scenario."""
+    """--symmetry wiring and the anonymous scenario."""
 
     def test_explore_anonymous_scenario_finds_the_m_lt_n_attack(self, capsys):
         assert main([
@@ -248,25 +248,13 @@ class TestCliModes:
         assert "violation" in out
         assert "serial verification: sharded report identical" in out
 
-    def test_explore_no_packed_matches_default(self, capsys):
-        results = {}
-        for flags in ([], ["--no-packed"]):
-            assert main([
-                "explore", "--scenario", "racing", "--workers", "2",
-                "--verify-serial", *flags,
-            ]) == 0
-            out = capsys.readouterr().out
-            assert "serial verification: sharded report identical" in out
-            # The scientific summary line must not depend on the
-            # encoding; strip the telemetry (timing) lines.
-            results[tuple(flags)] = [
-                line for line in out.splitlines()
-                if "configurations explored" in line
-            ]
-        assert results[()] == results[("--no-packed",)]
-        assert main(["explore", "--scenario", "racing", "--no-packed",
-                     "--symmetry"]) == 2
-        assert "symmetry" in capsys.readouterr().err
+    def test_explore_no_packed_is_rejected(self, capsys):
+        """The unpacked encoding is retired; its flag is now unknown."""
+        for flag in ("--no-packed", "--packed"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["explore", "--scenario", "racing", flag])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_campaign_zero_seeds_zero_fuzz_completes(self, capsys):
         """The zero-unit degenerate campaign is complete success, and
