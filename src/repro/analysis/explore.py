@@ -264,9 +264,11 @@ class ExplorationContext:
     Everything cached is *pure derived data* under the documented
     :class:`~repro.protocols.base.Protocol` contract (hashable immutable
     states, pure ``poised``/``advance``, pure ``task.check``), so sharing
-    a context across exploration units — or not sharing it, as sharded
-    campaign workers don't — cannot change any report.  The per-unit
-    depth memo is *not* part of the context; each unit keeps its own.
+    a context across exploration units — or not sharing it — cannot
+    change any report.  The per-unit depth memo is *not* part of the
+    context; each unit keeps its own.  A context is not thread-safe
+    (interning assigns ids by check-then-insert): one thread uses it at
+    a time.
     See docs/PERFORMANCE.md for the full purity contract and the
     measured effect.
 
@@ -540,6 +542,30 @@ class ExplorationContext:
         return found
 
 
+def _check_context(
+    context: ExplorationContext,
+    protocol: Protocol,
+    inputs: Sequence[Any],
+    **expected: Any,
+) -> None:
+    """Reject a supplied context built for another exploration.
+
+    A context's caches are keyed by slot ids of *its* protocol's states
+    from *its* inputs' root, so a mismatched one silently explores the
+    wrong system.  ``expected`` names further fields to compare
+    (``task``, ``symmetry_requested``).
+    """
+    expected.update(protocol=protocol, inputs=tuple(inputs))
+    for name, wanted in expected.items():
+        built = getattr(context, name)
+        if built is not wanted and built != wanted:
+            raise ValidationError(
+                f"supplied ExplorationContext was built for another "
+                f"{name}: {getattr(built, 'name', built)!r}, but the call "
+                f"asked for {getattr(wanted, 'name', wanted)!r}"
+            )
+
+
 def effective_prefix_depth(prefix_depth: int, max_steps: Optional[int]) -> int:
     """Cap the sharding depth at the exploration depth bound.
 
@@ -570,8 +596,11 @@ def schedule_prefixes(
     subtree is just the terminal configuration).  The tuple is the
     canonical unit decomposition sharded exploration distributes over.
     An existing :class:`ExplorationContext` for the same protocol and
-    inputs may be passed to reuse its transition caches.
+    inputs may be passed to reuse its transition caches; one built for
+    another protocol or inputs is a :class:`~repro.errors.ValidationError`.
     """
+    if context is not None:
+        _check_context(context, protocol, inputs)
     ctx = context if context is not None else ExplorationContext(
         protocol, inputs
     )
@@ -803,8 +832,10 @@ def explore_prefix_range(
     function :class:`repro.campaign.ExploreJob` workers execute.
 
     All units share one :class:`ExplorationContext` (``context``, or a
-    fresh one built with ``symmetry``; a supplied context must already
-    carry the same mode) for its pure transition caches; each unit still
+    fresh one built with ``symmetry``; a supplied context must have been
+    built for the same protocol, inputs, task and mode, else
+    :class:`~repro.errors.ValidationError`) for its pure transition
+    caches; each unit still
     gets a fresh depth memo, so the merged report is byte-identical
     whether units run in one call, in separate calls, or on separate
     workers — with or without symmetry reduction, since the per-unit
@@ -819,11 +850,10 @@ def explore_prefix_range(
     unchanged.
     """
     budget = unit_budget(max_configs, len(prefixes))
-    if context is not None and context.symmetry_requested != symmetry:
-        raise ValidationError(
-            "supplied ExplorationContext was built with "
-            f"symmetry={context.symmetry_requested} but the call asked "
-            f"for symmetry={symmetry}"
+    if context is not None:
+        _check_context(
+            context, protocol, inputs, task=task,
+            symmetry_requested=bool(symmetry),
         )
     ctx = context if context is not None else ExplorationContext(
         protocol, inputs, task, symmetry=symmetry

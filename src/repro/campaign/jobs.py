@@ -14,10 +14,12 @@ parallel path cannot drift from the serial one: the differential suite
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
 from repro.analysis.explore import (
+    ExplorationContext,
     ExplorationReport,
     effective_prefix_depth,
     explore_prefix_range,
@@ -36,6 +38,14 @@ from repro.core.sweep import (
     sweep_simulation,
 )
 from repro.protocols.base import Protocol
+
+#: One exploration slot per thread: ``(job, context, prefixes)`` for the
+#: last :class:`ExploreJob` object the thread ran.  A context's intern
+#: tables are not thread-safe, so threads never share one; a single slot
+#: per thread (not one per job) bounds the memory a long-lived scheduler
+#: holding every finished job would otherwise retain.  The slot holds the
+#: job itself, so the identity match can never hit a recycled ``id``.
+_EXPLORE_SLOT = threading.local()
 
 
 class _CertifiableJob:
@@ -245,10 +255,19 @@ class ExploreJob(_CertifiableJob):
     :class:`~repro.analysis.explore.ExplorationReport` is identical to a
     serial ``explore_protocol`` call with the same ``prefix_depth``.
 
+    Like ``explore_protocol``, the job explores with one
+    :class:`~repro.analysis.explore.ExplorationContext` (and one prefix
+    decomposition) per job object per executing thread, built on first
+    use and reused by :meth:`total_units` and every chunk that thread
+    runs, so a chunk starts with warm transition caches.  Each thread
+    keeps only its most recent job's context, and none of it is part of
+    the job: pickles, fingerprints and reports are unchanged.  A pooled
+    worker unpickles a fresh job per chunk and so builds one per chunk.
+
     ``symmetry`` selects symmetry reduction exactly as on
     ``explore_protocol``; it is part of the job (and therefore of
     checkpoint fingerprints), and serial == sharded holds in both modes
-    because each worker builds its context from the same flag.
+    because each context is built from the same flag.
     """
 
     protocol: Protocol
@@ -261,14 +280,30 @@ class ExploreJob(_CertifiableJob):
     certificates: bool = False
     symmetry: bool = False
 
-    def _prefixes(self) -> Tuple[Tuple[int, ...], ...]:
-        """The canonical unit decomposition (pure, cheap to recompute)."""
+    def _exploration(
+        self,
+    ) -> Tuple[ExplorationContext, Tuple[Tuple[int, ...], ...]]:
+        """This thread's context and canonical unit decomposition for
+        this job object, built on the thread's first use."""
+        slot = getattr(_EXPLORE_SLOT, "slot", None)
+        if slot is not None and slot[0] is self:
+            return slot[1], slot[2]
+        # Release the previous job's caches before growing new ones, so
+        # the thread's peak holds one context, not two.
+        _EXPLORE_SLOT.slot = None
         depth = effective_prefix_depth(self.prefix_depth, self.max_steps)
-        return schedule_prefixes(self.protocol, list(self.inputs), depth)
+        context = ExplorationContext(
+            self.protocol, self.inputs, self.task, symmetry=self.symmetry
+        )
+        prefixes = schedule_prefixes(
+            self.protocol, self.inputs, depth, context=context
+        )
+        _EXPLORE_SLOT.slot = (self, context, prefixes)
+        return context, prefixes
 
     def total_units(self) -> int:
         """Number of schedulable units: one per schedule prefix."""
-        return len(self._prefixes())
+        return len(self._exploration()[1])
 
     def empty_report(self) -> ExplorationReport:
         """The merge identity for this job's report type."""
@@ -276,11 +311,13 @@ class ExploreJob(_CertifiableJob):
 
     def run_range(self, start: int, stop: int) -> ExplorationReport:
         """Explore prefix subtrees ``start..stop-1`` serially and merge."""
+        context, prefixes = self._exploration()
         return explore_prefix_range(
-            self.protocol, list(self.inputs), self.task, self._prefixes(),
+            self.protocol, list(self.inputs), self.task, prefixes,
             start, stop, max_configs=self.max_configs,
             max_steps=self.max_steps,
             stop_at_first_violation=self.stop_at_first_violation,
+            context=context,
             certificates=self.certificates,
             symmetry=self.symmetry,
         )

@@ -86,15 +86,34 @@ class TestSymmetryDeclarations:
         )
         assert ctx.symmetry_requested and not ctx.symmetry
 
-    def test_context_mode_mismatch_rejected(self):
-        protocol, inputs, task = RacingConsensus(2), [0, 1], KSetAgreementTask(1)
-        ctx = ExplorationContext(protocol, inputs, task)
-        prefixes = schedule_prefixes(protocol, inputs, 1, context=ctx)
-        with pytest.raises(ValidationError, match="symmetry"):
+    @pytest.mark.parametrize("mismatch", [
+        "symmetry", "inputs", "task", "protocol",
+    ])
+    def test_context_mode_mismatch_rejected(self, mismatch):
+        # A context built for other inputs would silently explore the
+        # wrong system (673 configurations instead of 4443 here); one
+        # built without a task would crash deep inside the first check.
+        protocol, inputs, task = (
+            RacingConsensus(3), [0, 1, 2], KSetAgreementTask(1)
+        )
+        built = dict(protocol=protocol, inputs=inputs, task=task)
+        built.update({
+            "symmetry": {},
+            "inputs": {"inputs": [0, 0, 0]},
+            "task": {"task": None},
+            "protocol": {"protocol": RacingConsensus(3)},
+        }[mismatch])
+        ctx = ExplorationContext(**built)
+        prefixes = schedule_prefixes(protocol, inputs, 2)
+        with pytest.raises(ValidationError, match=mismatch):
             explore_prefix_range(
                 protocol, inputs, task, prefixes, 0, len(prefixes),
-                context=ctx, symmetry=True,
+                max_steps=10, context=ctx,
+                symmetry=mismatch == "symmetry",
             )
+        if mismatch in ("inputs", "protocol"):
+            with pytest.raises(ValidationError, match=mismatch):
+                schedule_prefixes(protocol, inputs, 2, context=ctx)
 
 
 class TestCanonicalKey:
