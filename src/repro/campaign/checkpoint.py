@@ -10,16 +10,26 @@ disk format:
 * **Journal layout** — line-oriented JSON: a header record carrying
   ``schema_version``, a campaign fingerprint, and the chunk geometry,
   followed by one record per completed chunk whose report travels as a
-  checksummed, base64-encoded pickle.  Records are only ever appended.
-* **Atomicity** — every flush writes the whole journal to
-  ``<path>.tmp``, fsyncs, then ``os.replace``-renames over ``<path>``.
-  A crash mid-write leaves at worst a stale tmp file, which loading
-  ignores and the next flush overwrites; the journal itself is always
-  a complete, self-consistent snapshot.
-* **Validation** — a missing header, unparseable line, checksum
-  mismatch, unknown ``schema_version``, or geometry/fingerprint drift
-  raises a clear :class:`~repro.errors.CheckpointError` instead of
-  silently skipping or repeating work.
+  checksummed, base64-encoded pickle.  A record counts once its
+  terminating newline is on disk.
+* **Appends** — the header is written once, as a complete image
+  (``<path>.*.tmp``, fsync, ``os.replace``), so a journal never exists
+  without it.  Each completed chunk then appends one line and fsyncs
+  it before the campaign moves on: a kill at any instant loses at most
+  the chunk in flight, and a journal costs bytes linear in its length.
+  A crash mid-append leaves at worst a *torn* final line with no
+  trailing newline; loading reports it and the next writer truncates
+  it before appending, so that chunk simply runs again.
+* **Compaction** — the only other full-image write: a resume whose
+  replayed records failed certificate re-verification rewrites the
+  journal without them, so the re-run chunk's record cannot collide
+  with a stale one.
+* **Validation** — apart from that single torn tail, every defect —
+  a missing header, an unparseable or checksum-failing line anywhere
+  else (a newline-terminated final line included), an unknown
+  ``schema_version``, a duplicate chunk index, or geometry/fingerprint
+  drift — raises a clear :class:`~repro.errors.CheckpointError`
+  instead of silently skipping or repeating work.
 
 The engine (:func:`~repro.campaign.engine.run_campaign`) journals each
 chunk as it completes and, on ``resume=True``, feeds the loaded reports
@@ -37,7 +47,7 @@ import pickle
 import re
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.errors import CheckpointError
 
@@ -87,6 +97,9 @@ class CheckpointState:
     total_units: int
     chunk_size: int
     records: Dict[int, ChunkRecord]
+    #: Byte offset of a torn final line (a crash mid-append), which is
+    #: not among ``records``; ``None`` when the journal ends cleanly.
+    torn_offset: Optional[int] = None
 
     @property
     def completed_indices(self) -> List[int]:
@@ -128,32 +141,52 @@ def _decode_report(record: Dict[str, Any], line_no: int) -> Any:
         ) from error
 
 
+def _record_line(index: int, start: int, stop: int, report: Any) -> str:
+    """One chunk record as a JSON line (no trailing newline)."""
+    body = {"kind": "chunk", "index": index, "start": start, "stop": stop}
+    body.update(_encode_report(report))
+    return json.dumps(body, sort_keys=True)
+
+
 def load_checkpoint(path: str) -> CheckpointState:
     """Parse and validate a checkpoint journal.
 
-    Raises :class:`~repro.errors.CheckpointError` on a missing or empty
-    file, a malformed or truncated line, a checksum mismatch, a
-    ``schema_version`` this code does not understand, or a duplicate
-    chunk index.  A leftover ``<path>.tmp`` from a crashed flush is
-    ignored entirely — only the atomically-renamed journal counts.
+    Tolerates exactly one defect: a torn final line (no trailing
+    newline), the trace of a crash mid-append.  It is left out of the
+    records and its byte offset is reported as
+    :attr:`CheckpointState.torn_offset`.  Everything else raises
+    :class:`~repro.errors.CheckpointError`: a missing or empty file, a
+    malformed line (the newline-terminated last one included), a
+    checksum mismatch, a ``schema_version`` this code does not
+    understand, or a duplicate chunk index.  A leftover
+    ``<path>.*.tmp`` from a crashed full-image write is ignored
+    entirely.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as error:
         raise CheckpointError(
             f"cannot read checkpoint {path!r}: {error}"
         ) from error
-    if not lines:
+    if not data:
         raise CheckpointError(f"checkpoint {path!r} is empty")
+    complete, newline, tail = data.rpartition(b"\n")
+    torn_offset = len(complete) + len(newline) if tail else None
+    lines = complete.split(b"\n") if newline else []
+    if not lines:
+        raise CheckpointError(
+            f"checkpoint {path!r} has no header record "
+            f"(its only line is torn)"
+        )
 
-    def parse(line: str, line_no: int) -> Dict[str, Any]:
+    def parse(line: bytes, line_no: int) -> Dict[str, Any]:
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
+            record = json.loads(line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise CheckpointError(
                 f"checkpoint line {line_no}: not valid JSON "
-                f"(journal truncated or corrupted): {error}"
+                f"(journal corrupted): {error}"
             ) from error
         if not isinstance(record, dict):
             raise CheckpointError(
@@ -211,17 +244,23 @@ def load_checkpoint(path: str) -> CheckpointState:
     return CheckpointState(
         schema_version=version, fingerprint=fingerprint,
         total_units=total_units, chunk_size=chunk_size, records=records,
+        torn_offset=torn_offset,
     )
 
 
 class CheckpointWriter:
-    """Journals completed chunks with atomic write-rename flushes.
+    """Journals completed chunks by fsync'd appends to one file.
 
-    Every :meth:`record_chunk` rewrites the full journal to a sibling
-    tmp file, fsyncs it, and renames it over the target — so the
-    on-disk journal is always a complete snapshot and a kill at any
-    instant loses at most the chunk in flight.  Recording is idempotent
-    per chunk index (replays after a pool fallback are no-ops).
+    A fresh writer creates the journal as a header-only image (tmp,
+    fsync, rename).  A resume passes ``state``, the loaded journal of
+    this same campaign (the caller has validated its header), and the
+    writer appends to that file: it first truncates a torn final line,
+    and it compacts the journal to a new image only when ``drop`` names
+    records the caller will not merge (a record for the same index
+    appended later would otherwise be a duplicate).  :meth:`record_chunk` appends one line and fsyncs it
+    before returning, so a kill at any instant loses at most the chunk
+    in flight.  Recording is idempotent per chunk index (replays after
+    a pool fallback are no-ops).
     """
 
     def __init__(
@@ -231,42 +270,54 @@ class CheckpointWriter:
         total_units: int,
         chunk_size: int,
         state: Optional[CheckpointState] = None,
+        drop: Iterable[int] = (),
     ):
         self.path = path
         self.fingerprint = fingerprint
         self.total_units = total_units
         self.chunk_size = chunk_size
-        self._lines: List[str] = [json.dumps({
+        if state is None:
+            self._recorded: Set[int] = set()
+            self._flush([])
+            return
+        drop = set(drop)
+        kept = [
+            state.records[index] for index in state.completed_indices
+            if index not in drop
+        ]
+        self._recorded = {record.index for record in kept}
+        if len(kept) < len(state.records):
+            self._flush(kept)
+        elif state.torn_offset is not None:
+            fd = os.open(path, os.O_WRONLY)
+            try:
+                os.ftruncate(fd, state.torn_offset)
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+
+    def _flush(self, records: Sequence[ChunkRecord]) -> None:
+        """Write a complete journal image: tmp, fsync, rename into place.
+
+        The image is the header plus ``records``.  Only a fresh journal
+        and a compacting resume come here; chunk records are appended
+        by :meth:`record_chunk`.  Creates missing parent directories on
+        the way: a first-boot ``--resume state/run.ckpt`` (the natural
+        service path) starts fresh and creates the journal instead of
+        failing.
+        """
+        header = json.dumps({
             "kind": "campaign-checkpoint",
             "schema_version": CHECKPOINT_SCHEMA_VERSION,
-            "fingerprint": fingerprint,
-            "total_units": total_units,
-            "chunk_size": chunk_size,
-        }, sort_keys=True)]
-        self._recorded = set()
-        if state is not None:
-            for index in state.completed_indices:
-                record = state.records[index]
-                self._append(
-                    record.index, record.start, record.stop, record.report
-                )
-        self._flush()
-
-    def _append(self, index: int, start: int, stop: int, report: Any):
-        """Add one chunk line to the in-memory journal image."""
-        body = {"kind": "chunk", "index": index, "start": start,
-                "stop": stop}
-        body.update(_encode_report(report))
-        self._lines.append(json.dumps(body, sort_keys=True))
-        self._recorded.add(index)
-
-    def _flush(self) -> None:
-        """Write the journal image to tmp, fsync, and rename into place.
-
-        Creates missing parent directories on the way: a first-boot
-        ``--resume state/run.ckpt`` (the natural service path) starts
-        fresh and creates the journal instead of failing.
-        """
+            "fingerprint": self.fingerprint,
+            "total_units": self.total_units,
+            "chunk_size": self.chunk_size,
+        }, sort_keys=True)
+        lines = [header] + [
+            _record_line(record.index, record.start, record.stop,
+                         record.report)
+            for record in records
+        ]
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
         fd, tmp_path = tempfile.mkstemp(
@@ -275,7 +326,7 @@ class CheckpointWriter:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write("\n".join(self._lines) + "\n")
+                handle.write("\n".join(lines) + "\n")
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_path, self.path)
@@ -289,8 +340,32 @@ class CheckpointWriter:
     def record_chunk(
         self, index: int, start: int, stop: int, report: Any
     ) -> None:
-        """Journal one completed chunk's report (idempotent, crash-safe)."""
+        """Journal one completed chunk's report (idempotent, crash-safe).
+
+        Appends the record and fsyncs it.  An append that fails part
+        way is cut back off before the error propagates, so the same
+        writer can append again; a crash that prevents even that leaves
+        a torn final line, which the next load tolerates.
+        """
         if index in self._recorded:
             return
-        self._append(index, start, stop, report)
-        self._flush()
+        line = (_record_line(index, start, stop, report) + "\n").encode(
+            "ascii"
+        )
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
+            end = os.fstat(fd).st_size
+            try:
+                view = memoryview(line)
+                while view:
+                    view = view[os.write(fd, view):]
+                os.fsync(fd)
+            except BaseException:
+                try:
+                    os.ftruncate(fd, end)
+                except OSError:
+                    pass
+                raise
+        finally:
+            os.close(fd)
+        self._recorded.add(index)

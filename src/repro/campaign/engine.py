@@ -303,7 +303,7 @@ def run_campaign(
     * ``faults`` — a :class:`~repro.campaign.faults.FaultPlan` for
       deterministic fault injection (chaos testing);
     * ``checkpoint`` — journal completed chunk reports to this path
-      (atomic write-rename, fsync'd) as they finish;
+      (one fsync'd append per chunk) as they finish;
     * ``resume`` — when the checkpoint file exists, validate it against
       this job and skip its completed chunks (a missing file starts
       fresh, so the same command line works for first runs and

@@ -171,14 +171,18 @@ def prepare_campaign(
     * resumed chunk reports are re-verified under the untrusted-worker
       gate, and chunks whose certificates no longer replay are re-run
       instead of merged;
+    * a resumed journal is appended to, not rewritten; it is compacted
+      only when re-verification dropped records;
     * a missing journal file starts fresh — the writer creates the
       file (and any missing parent directories) on the first flush.
     """
-    total = job.total_units()
     if verify_certificates:
         with_certificates = getattr(job, "with_certificates", None)
         if with_certificates is not None:
             job = with_certificates(True)
+    # Count on the flipped job: a job object may memoize per-object
+    # setup (an ExploreJob's exploration context) that its chunks reuse.
+    total = job.total_units()
 
     state = None
     if checkpoint is not None and resume and os.path.exists(checkpoint):
@@ -222,6 +226,7 @@ def prepare_campaign(
             completed[index] = chunk_record.report
 
     resumed_certificates = 0
+    dropped: List[int] = []
     if verify_certificates and completed:
         # Resumed chunks came from a journal a (possibly different)
         # worker wrote; re-verify them and re-run any that fail rather
@@ -238,12 +243,13 @@ def prepare_campaign(
                 resumed_certificates += len(certificates)
             else:
                 del completed[index]
+                dropped.append(index)
 
     writer = None
     if checkpoint is not None:
         writer = CheckpointWriter(
             checkpoint, fingerprint, total, policy.chunk_size,
-            state=state,
+            state=state, drop=dropped,
         )
     return PreparedCampaign(
         job=job, total_units=total, policy=policy, chunks=chunks,

@@ -15,7 +15,8 @@ On disk a certificate is one canonical-JSON object::
 with the checksum computed over ``{kind, schema_version, payload}``
 (:mod:`repro.certify.canonical`).  Files are written with the same
 atomic tmp → fsync → rename discipline as the campaign checkpoint
-journal, so a crash mid-write never leaves a half-written certificate.
+journal's full-image writes, so a crash mid-write never leaves a
+half-written certificate.
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ def certificate_filename(certificate: Certificate) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    """tmp → fsync → rename, same discipline as the checkpoint journal."""
+    """tmp → fsync → rename, as the checkpoint journal writes its header."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(
         prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import collections
+import math
 import pickle
 import time
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
@@ -331,14 +332,20 @@ class Scheduler:
                 progressed = True
 
     def _backoff_timeout(self) -> Optional[float]:
-        """Seconds until the earliest queued retry becomes ready."""
+        """Seconds until the earliest queued retry becomes ready.
+
+        Only backoff deadlines count.  Work that is ready now but was
+        not dispatched is waiting for a worker slot or its tenant's
+        in-flight quota, and the chunk completion that frees either one
+        sets ``_wake``; a zero timeout here would only spin the loop.
+        """
         deadlines = []
         now = time.monotonic()
         for runtime in self._jobs.values():
             if runtime.pump is None or runtime.job.terminal:
                 continue
             ready_at = runtime.pump.next_ready_at()
-            if ready_at is not None:
+            if ready_at is not None and ready_at != -math.inf:
                 deadlines.append(max(0.0, ready_at - now))
         return min(deadlines) if deadlines else None
 

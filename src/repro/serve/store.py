@@ -237,16 +237,21 @@ class JobStore:
             fh.write(json.dumps(event, sort_keys=True) + "\n")
 
     def read_events(self, job_id: str) -> List[Dict[str, Any]]:
-        """Replay the event log, skipping a crash-truncated last line."""
+        """Replay the event log, skipping lines that do not parse.
+
+        A crash can tear the last append; a damaged line elsewhere
+        costs only itself, never the events after it.  The log is
+        advisory, so neither fails the read.
+        """
         events: List[Dict[str, Any]] = []
         try:
             with open(self.events_path(job_id), "r",
-                      encoding="utf-8") as fh:
+                      encoding="utf-8", errors="replace") as fh:
                 for line in fh:
                     try:
                         events.append(json.loads(line))
                     except ValueError:
-                        break
+                        continue
         except OSError:
             pass
         return events

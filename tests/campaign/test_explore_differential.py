@@ -212,6 +212,27 @@ class TestSharedContext:
         assert len(built_contexts) == 1
         assert_reports_identical(result.report, serial)
 
+    def test_certificate_gated_campaign_builds_one_context(
+        self, built_contexts
+    ):
+        """The gate flips the job into certificate mode before counting
+        its units, so the count and every chunk share one context."""
+        make, inputs, task, bounds, _ = EXPLORE_CASES[0]
+        plain = explore_campaign(
+            make(), inputs, task, prefix_depth=2, workers=1,
+            chunk_size=1, **bounds
+        )
+        del built_contexts[:]
+        result = explore_campaign(
+            make(), inputs, task, prefix_depth=2, workers=1,
+            chunk_size=1, verify_certificates=True, **bounds
+        )
+        assert result.telemetry.mode == "in-process"
+        assert len(result.telemetry.chunks) > 1
+        assert result.telemetry.certificates_verified > 0
+        assert len(built_contexts) == 1
+        assert result.report == plain.report
+
     def test_threads_running_one_job_keep_separate_contexts(
         self, built_contexts
     ):

@@ -1,10 +1,19 @@
 """Fair scheduling and tenant quotas over the shared pool."""
 
 import asyncio
+import threading
 
 import pytest
 
-from repro.serve import ServeClient, ServeClientError, TenantQuotas
+from repro.serve import (
+    JobStore,
+    Scheduler,
+    ServeClient,
+    ServeClientError,
+    TenantQuotas,
+)
+from repro.serve import scheduler as scheduler_module
+from repro.serve.jobspec import JobSpec
 from tests.serve.conftest import call, running_app, wait_state
 
 #: A deliberately long campaign: 200 chunks of 2 seeds each.
@@ -152,3 +161,68 @@ class TestCancel:
                 assert status["state"] == "cancelled"
 
         asyncio.run(scenario())
+
+
+class TestDispatchLoop:
+    @pytest.mark.parametrize("workers, quotas", [
+        (1, TenantQuotas()),
+        (2, TenantQuotas(max_inflight_chunks=1)),
+    ], ids=["worker-slots-full", "tenant-quota-full"])
+    def test_blocked_ready_work_does_not_spin_the_loop(
+        self, tmp_path, monkeypatch, workers, quotas
+    ):
+        """Ready work that cannot be dispatched (every worker slot, or
+        the tenant's in-flight quota, is taken) waits for the chunk
+        completion that frees it; the dispatch loop must not rescan the
+        jobs while it waits."""
+        release = threading.Event()
+        held = threading.Event()
+        real_execute = scheduler_module.execute_chunk
+
+        def held_execute(*args, **kwargs):
+            if not held.is_set():
+                held.set()
+                assert release.wait(timeout=60)
+            return real_execute(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "execute_chunk", held_execute)
+        passes = []
+        real_dispatch = Scheduler._dispatch
+
+        def counting_dispatch(self):
+            passes.append(None)
+            return real_dispatch(self)
+
+        monkeypatch.setattr(Scheduler, "_dispatch", counting_dispatch)
+
+        async def scenario():
+            scheduler = Scheduler(JobStore(str(tmp_path)),
+                                  workers=workers, quotas=quotas,
+                                  executor="thread")
+            await scheduler.start()
+            try:
+                spec = JobSpec.from_dict(SMALL_SPEC)
+                jobs = [scheduler.submit("tenant-a", spec)
+                        for _ in range(2)]
+                loop = asyncio.get_running_loop()
+                while not held.is_set():
+                    await loop.run_in_executor(None, held.wait, 0.05)
+                before = len(passes)
+                await asyncio.sleep(0.3)
+                during_hold = len(passes) - before
+                release.set()
+                deadline = loop.time() + 60
+                while not all(job.terminal for job in jobs):
+                    assert loop.time() < deadline, "jobs never finished"
+                    await asyncio.sleep(0.01)
+                assert [job.state for job in jobs] == ["done", "done"]
+                return during_hold
+            finally:
+                release.set()
+                await scheduler.stop()
+
+        during_hold = asyncio.run(scenario())
+        assert during_hold <= 3, (
+            f"the dispatch loop ran {during_hold} passes while a held "
+            f"chunk blocked all dispatch"
+        )

@@ -144,6 +144,23 @@ class TestEvents:
         events = store.read_events(job.id)
         assert [event["event"] for event in events] == ["job-queued"]
 
+    def test_corrupt_middle_line_costs_only_itself(self, tmp_path):
+        # A damaged line in the middle must not hide the later events.
+        store = JobStore(str(tmp_path))
+        job = store.create("alice", SPEC)
+        store.append_event(job.id, {"event": "job-queued", "seq": 0})
+        with open(store.events_path(job.id), "ab") as handle:
+            handle.write(b'{"event": "chu\n')
+            handle.write(b'\xff\xfe not utf-8\n')
+        store.append_event(job.id, {"event": "chunk", "seq": 2})
+        store.append_event(job.id, {"event": "job-done", "seq": 3})
+        with open(store.events_path(job.id), "a") as handle:
+            handle.write('{"event": "tor')
+        events = store.read_events(job.id)
+        assert [event["event"] for event in events] == [
+            "job-queued", "chunk", "job-done",
+        ]
+
     def test_missing_log_reads_empty(self, tmp_path):
         store = JobStore(str(tmp_path))
         assert store.read_events("nothing") == []
