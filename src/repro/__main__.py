@@ -67,19 +67,6 @@ import math
 import os
 import sys
 
-#: ``--base-object`` spelling -> the canonical explore scenario built on
-#: that memory primitive.  ``register`` names the racing-consensus
-#: scenario (the paper's read/write normal form); the rest name the
-#: multi-primitive families of :mod:`repro.protocols.rmw` and
-#: :mod:`repro.protocols.largereg`.
-BASE_OBJECT_SCENARIOS = {
-    "register": "racing",
-    "swap": "swap",
-    "tas": "tas",
-    "cas": "cas",
-    "large-register": "large-register",
-}
-
 
 def cmd_bounds(args) -> int:
     from repro.core import bound_table
@@ -209,29 +196,41 @@ def cmd_check(args) -> int:
     return 0
 
 
+def _check_usage(args) -> int:
+    """Reject flag values no command can run with, as usage errors.
+
+    Size flags must reach their subcommand's ``size_floors``
+    (destination -> smallest legal value; ``None``, i.e. auto, is always
+    legal), declared with ``set_defaults``; a bare ``--resume`` needs
+    ``--checkpoint PATH``.  Returns 2 after a one-line error, else 0.
+    """
+    for dest, floor in getattr(args, "size_floors", {}).items():
+        value = getattr(args, dest)
+        if value is not None and value < floor:
+            flag = "--" + dest.replace("_", "-")
+            print(f"error: {flag} must be >= {floor}, got {value}",
+                  file=sys.stderr)
+            return 2
+    if getattr(args, "resume", None) == "" and args.checkpoint is None:
+        print("error: --resume needs a path (or combine with "
+              "--checkpoint PATH)", file=sys.stderr)
+        return 2
+    return 0
+
+
 def _resolve_fault_tolerance(args):
     """Shared ``--checkpoint/--resume/--max-retries`` flag resolution.
 
-    Returns ``(base_checkpoint_path_or_None, resume_bool, RetryPolicy)``
-    or an integer exit code on invalid combinations.
+    Returns ``(base_checkpoint_path_or_None, resume_bool, RetryPolicy)``;
+    a ``--resume PATH`` names the checkpoint, a bare one reuses
+    ``--checkpoint``.
     """
     from repro.campaign import RetryPolicy
 
-    if args.max_retries < 0:
-        print(f"error: --max-retries must be >= 0, got {args.max_retries}",
-              file=sys.stderr)
-        return 2
-    checkpoint = args.checkpoint
-    resume = False
-    if args.resume is not None:
-        resume = True
-        if args.resume:
-            checkpoint = args.resume
-        elif checkpoint is None:
-            print("error: --resume needs a path (or combine with "
-                  "--checkpoint PATH)", file=sys.stderr)
-            return 2
-    return checkpoint, resume, RetryPolicy(max_retries=args.max_retries)
+    return (
+        args.resume or args.checkpoint, args.resume is not None,
+        RetryPolicy(max_retries=args.max_retries),
+    )
 
 
 def _notice_fresh_resume(checkpoint, resume) -> None:
@@ -256,28 +255,16 @@ def cmd_campaign(args) -> int:
         sweep_simulation_campaign,
     )
     from repro.core import kset_space_lower_bound
-    from repro.protocols import (
-        CASConsensus,
-        KSetAgreementTask,
-        MinSeen,
-        RacingConsensus,
-        SwapConsensus,
-        TASConsensus,
-        TruncatedProtocol,
+    from repro.protocols.scenarios import (
+        BASE_OBJECT_SWEEPS,
+        FALSIFY_KX,
+        FUZZ_SCENARIO,
+        SCENARIOS,
+        SWEEPS,
+        falsify_target,
     )
 
-    if args.workers is not None and args.workers < 1:
-        print(f"error: --workers must be >= 1, got {args.workers}",
-              file=sys.stderr)
-        return 2
-    if args.chunk_size is not None and args.chunk_size < 1:
-        print(f"error: --chunk-size must be >= 1, got {args.chunk_size}",
-              file=sys.stderr)
-        return 2
-    resolved = _resolve_fault_tolerance(args)
-    if isinstance(resolved, int):
-        return resolved
-    base_checkpoint, resume, retry = resolved
+    base_checkpoint, resume, retry = _resolve_fault_tolerance(args)
 
     def fault_options(name):
         """Per-experiment engine options; checkpoints get a name suffix
@@ -312,10 +299,11 @@ def cmd_campaign(args) -> int:
             print("   EXPECTATION FAILED")
 
     if args.experiment in ("falsify", "all"):
-        bound = kset_space_lower_bound(2, 1, 1)
+        protocol, inputs, task, _expect_safe = falsify_target()
+        k, x = FALSIFY_KX
+        bound = kset_space_lower_bound(protocol.n, k, x)
         result = sweep_simulation_campaign(
-            TruncatedProtocol(RacingConsensus(2), 1), k=1, x=1,
-            inputs=[0, 1], seeds=seeds, task=KSetAgreementTask(1),
+            protocol, k=k, x=x, inputs=inputs, seeds=seeds, task=task,
             **options, **fault_options("falsify"),
         )
         show(
@@ -326,45 +314,27 @@ def cmd_campaign(args) -> int:
         print(f"   first violating seed: "
               f"{result.report.first_violating_seed}")
 
-    # Per-base-object protocol sweeps: each entry is the safe instance
-    # of the family built on that primitive (expected clean under every
-    # schedule the sweep draws).
-    protocol_sweeps = {
-        "register": (
-            (RacingConsensus(3), [0, 1, 1], KSetAgreementTask(1)),
-            (MinSeen(3, rounds=2), [4, 1, 9], KSetAgreementTask(3)),
-        ),
-        "swap": (
-            (SwapConsensus(2), [0, 1], KSetAgreementTask(1)),
-        ),
-        "tas": (
-            (TASConsensus(2), [0, 1], KSetAgreementTask(1)),
-        ),
-        "cas": (
-            (CASConsensus(3), [0, 1, 2], KSetAgreementTask(1)),
-        ),
-    }
-
     if args.experiment in ("protocol", "all"):
-        for protocol, inputs, task in protocol_sweeps[args.base_object]:
+        for name in BASE_OBJECT_SWEEPS[args.base_object]:
+            protocol, inputs, task, expect_safe = SWEEPS[name]()
             result = sweep_protocol_campaign(
                 protocol, inputs, seeds, task=task, **options,
                 **fault_options(f"protocol-{protocol.name}"),
             )
             show(f"protocol safety: {protocol.name}", result,
-                 result.report.clean)
+                 result.report.clean == expect_safe)
 
     if args.experiment in ("fuzz", "all"):
+        protocol, inputs, task, expect_safe = SCENARIOS[FUZZ_SCENARIO]()
         result = fuzz_campaign(
-            TruncatedProtocol(RacingConsensus(3), 1), [0, 1, 2],
-            KSetAgreementTask(1), runs=args.fuzz_runs,
+            protocol, inputs, task, runs=args.fuzz_runs,
             schedule_length=40, seed=args.seed, **options,
             **fault_options("fuzz"),
         )
         # The must-violate expectation is vacuous for a zero-run campaign:
         # an empty fuzz report is clean by construction, not evidence the
         # protocol is safe.
-        ok = result.report.runs == 0 or not result.report.clean
+        ok = result.report.runs == 0 or result.report.clean == expect_safe
         show("schedule fuzz (truncated consensus, must violate)", result, ok)
         if result.report.minimized is not None:
             print(f"   minimized counterexample: "
@@ -391,20 +361,9 @@ def cmd_campaign(args) -> int:
 def cmd_explore(args) -> int:
     from repro.analysis import explore_protocol
     from repro.campaign import explore_campaign
-    from repro.protocols.scenarios import SCENARIOS
+    from repro.protocols.scenarios import BASE_OBJECT_SCENARIOS, SCENARIOS
 
-    if args.workers is not None and args.workers < 1:
-        print(f"error: --workers must be >= 1, got {args.workers}",
-              file=sys.stderr)
-        return 2
-    if args.chunk_size is not None and args.chunk_size < 1:
-        print(f"error: --chunk-size must be >= 1, got {args.chunk_size}",
-              file=sys.stderr)
-        return 2
-    resolved = _resolve_fault_tolerance(args)
-    if isinstance(resolved, int):
-        return resolved
-    checkpoint, resume, retry = resolved
+    checkpoint, resume, retry = _resolve_fault_tolerance(args)
     _notice_fresh_resume(checkpoint, resume)
 
     if args.base_object is not None:
@@ -471,8 +430,20 @@ def cmd_serve(args) -> int:
     return serve_main(args)
 
 
-def _add_fault_tolerance_args(subparser) -> None:
-    """Install the shared checkpoint/resume/retry flags on a subparser."""
+def _add_engine_args(subparser, **floors) -> None:
+    """Install the shared engine and checkpoint/resume/retry flags.
+
+    ``floors`` maps the subcommand's own size flags to their smallest
+    legal values; :func:`_check_usage` enforces them together with
+    the engine's.
+    """
+    subparser.add_argument("--workers", type=int, default=None)
+    subparser.add_argument("--chunk-size", type=int, default=None)
+    subparser.add_argument(
+        "--verify-certificates", action="store_true",
+        help="make workers emit witness certificates and reject any "
+             "chunk whose certificates fail independent replay",
+    )
     subparser.add_argument(
         "--checkpoint", default=None, metavar="PATH",
         help="journal completed chunks to PATH (crash-safe)",
@@ -490,10 +461,17 @@ def _add_fault_tolerance_args(subparser) -> None:
         "--strict", action="store_true",
         help="exit non-zero if any chunk permanently failed",
     )
+    subparser.set_defaults(
+        size_floors=dict(workers=1, chunk_size=1, max_retries=0, **floors)
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.protocols.scenarios import SCENARIOS
+    from repro.protocols.scenarios import (
+        BASE_OBJECT_SCENARIOS,
+        BASE_OBJECT_SWEEPS,
+        SCENARIOS,
+    )
 
     # prog matches the installed console-script entry point (setup.cfg:
     # ``repro = repro.__main__:main``) so help text, docs, and the
@@ -536,8 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign", help="parallel seed-sweep / fuzz campaigns"
     )
     campaign.add_argument("--seeds", type=int, default=50)
-    campaign.add_argument("--workers", type=int, default=None)
-    campaign.add_argument("--chunk-size", type=int, default=None)
     campaign.add_argument(
         "--experiment",
         choices=["falsify", "protocol", "fuzz", "all"],
@@ -545,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--base-object",
-        choices=["register", "swap", "tas", "cas"],
+        choices=list(BASE_OBJECT_SWEEPS),
         default="register",
         help="memory primitive for the protocol-safety sweeps "
              "(default: register)",
@@ -553,15 +529,10 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--fuzz-runs", type=int, default=200)
     campaign.add_argument("--seed", type=int, default=0)
     campaign.add_argument(
-        "--verify-certificates", action="store_true",
-        help="make workers emit witness certificates and reject any "
-             "chunk whose certificates fail independent replay",
-    )
-    campaign.add_argument(
         "--certificates-dir", default=None, metavar="DIR",
         help="write the final reports' certificates to DIR",
     )
-    _add_fault_tolerance_args(campaign)
+    _add_engine_args(campaign, seeds=0, fuzz_runs=0)
     campaign.set_defaults(func=cmd_campaign)
 
     explore = sub.add_parser(
@@ -583,8 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--max-configs", type=int, default=200_000)
     explore.add_argument("--max-steps", type=int, default=30)
     explore.add_argument("--prefix-depth", type=int, default=2)
-    explore.add_argument("--workers", type=int, default=None)
-    explore.add_argument("--chunk-size", type=int, default=None)
     explore.add_argument(
         "--collect-all", action="store_true",
         help="keep exploring past the first violation",
@@ -598,12 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify-serial", action="store_true",
         help="re-run serially and assert the sharded report is identical",
     )
-    explore.add_argument(
-        "--verify-certificates", action="store_true",
-        help="make workers emit witness certificates and reject any "
-             "chunk whose certificates fail independent replay",
-    )
-    _add_fault_tolerance_args(explore)
+    _add_engine_args(explore, max_configs=1, max_steps=1, prefix_depth=0)
     explore.set_defaults(func=cmd_explore)
 
     from repro.bench.cli import add_bench_parser
@@ -624,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    return _check_usage(args) or args.func(args)
 
 
 if __name__ == "__main__":

@@ -18,72 +18,58 @@ import os
 import sys
 from typing import Any, Callable, Dict, List
 
+from repro.analysis.bivalence import classify_valence
+from repro.analysis.covering import build_covering
+from repro.analysis.explore import explore_protocol
+from repro.analysis.fuzz import fuzz_protocol
+from repro.certify.certificates import write_certificates
+from repro.certify.verify import verify_file
+from repro.core.sweep import sweep_protocol
+from repro.protocols import scenarios as registry
 
-def _scenario_falsify(runs: int, seed: int) -> List[Any]:
+
+def _scenario_falsify(runs: int, seed: int) -> Any:
     """Fuzz the Theorem 3 falsifier workload; certify its violations."""
-    from repro.analysis.fuzz import fuzz_protocol
-    from repro.protocols.kset import TruncatedProtocol
-    from repro.protocols.racing import RacingConsensus
-    from repro.protocols.tasks import KSetAgreementTask
-
-    report = fuzz_protocol(
-        TruncatedProtocol(RacingConsensus(3), 1), [0, 1, 2],
-        KSetAgreementTask(1), runs=runs, schedule_length=40, seed=seed,
-        certificates=True,
+    target = registry.SCENARIOS[registry.FUZZ_SCENARIO]()
+    return fuzz_protocol(
+        target.protocol, target.inputs, target.task, runs=runs,
+        schedule_length=40, seed=seed, certificates=True,
     )
-    return list(report.certificates)
 
 
-def _scenario_sweep(runs: int, seed: int) -> List[Any]:
+def _scenario_sweep(runs: int, seed: int) -> Any:
     """Seed-sweep the under-provisioned consensus; certify the extreme."""
-    from repro.core.sweep import sweep_protocol
-    from repro.protocols.kset import TruncatedProtocol
-    from repro.protocols.racing import RacingConsensus
-    from repro.protocols.tasks import KSetAgreementTask
-
-    report = sweep_protocol(
-        TruncatedProtocol(RacingConsensus(2), 1), [0, 1],
-        list(range(seed, seed + runs)), task=KSetAgreementTask(1),
+    protocol, inputs, task, _expect_safe = registry.falsify_target()
+    return sweep_protocol(
+        protocol, inputs, list(range(seed, seed + runs)), task=task,
         max_steps=400_000, certificates=True,
     )
-    return list(report.certificates)
 
 
-def _scenario_explore(runs: int, seed: int) -> List[Any]:
+def _scenario_explore(runs: int, seed: int) -> Any:
     """Exhaustively find the canonical counterexample; certify it."""
-    from repro.analysis.explore import explore_protocol
-    from repro.protocols.kset import TruncatedProtocol
-    from repro.protocols.racing import RacingConsensus
-    from repro.protocols.tasks import KSetAgreementTask
-
-    report = explore_protocol(
-        TruncatedProtocol(RacingConsensus(2), 1), [0, 1],
-        KSetAgreementTask(1), max_configs=max(runs, 1) * 1_000,
+    protocol, inputs, task, _expect_safe = registry.falsify_target()
+    return explore_protocol(
+        protocol, inputs, task, max_configs=max(runs, 1) * 1_000,
         certificates=True,
     )
-    return list(report.certificates)
 
 
-def _scenario_valence(runs: int, seed: int) -> List[Any]:
+def _scenario_valence(runs: int, seed: int) -> Any:
     """Certify the bivalence witness of racing consensus."""
-    from repro.analysis.bivalence import classify_valence
-    from repro.protocols.racing import RacingConsensus
-
-    report = classify_valence(RacingConsensus(2), [0, 1], certificates=True)
-    return list(report.certificates)
+    protocol, inputs, _task, _expect_safe = registry.SCENARIOS["racing"]()
+    return classify_valence(protocol, inputs, certificates=True)
 
 
-def _scenario_covering(runs: int, seed: int) -> List[Any]:
+def _scenario_covering(runs: int, seed: int) -> Any:
     """Certify a covering configuration of racing consensus."""
-    from repro.analysis.covering import build_covering
-    from repro.protocols.racing import RacingConsensus
-
-    report = build_covering(RacingConsensus(3), [0, 1, 1], certificates=True)
-    return list(report.certificates)
+    protocol, inputs, _task, _expect_safe = registry.SWEEPS["racing"]()
+    return build_covering(protocol, inputs, certificates=True)
 
 
-#: Named emit scenarios: each runs a searcher with certificates on.
-SCENARIOS: Dict[str, Callable[[int, int], List[Any]]] = {
+#: Named emit scenarios: each runs a searcher with certificates on and
+#: returns its report.
+SCENARIOS: Dict[str, Callable[[int, int], Any]] = {
     "falsify": _scenario_falsify,
     "sweep": _scenario_sweep,
     "explore": _scenario_explore,
@@ -94,9 +80,8 @@ SCENARIOS: Dict[str, Callable[[int, int], List[Any]]] = {
 
 def cmd_certify_emit(args) -> int:
     """Run a scenario and write its certificates to ``--out``."""
-    from repro.certify.certificates import write_certificates
-
-    certificates = SCENARIOS[args.scenario](args.runs, args.seed)
+    report = SCENARIOS[args.scenario](args.runs, args.seed)
+    certificates = list(report.certificates)
     if not certificates:
         print(f"scenario {args.scenario!r} produced no certificates "
               f"(no violation found?)", file=sys.stderr)
@@ -124,8 +109,6 @@ def _certificate_files(args) -> List[str]:
 
 def cmd_certify_verify(args) -> int:
     """Verify certificate files; exit non-zero on any rejection."""
-    from repro.certify.verify import verify_file
-
     files = _certificate_files(args)
     if not files:
         print("error: no certificate files to verify", file=sys.stderr)
@@ -171,7 +154,7 @@ def add_certify_parser(sub) -> None:
         "--out", required=True, metavar="DIR",
         help="directory to write certificate files into",
     )
-    emit.set_defaults(func=cmd_certify_emit)
+    emit.set_defaults(func=cmd_certify_emit, size_floors={"runs": 0})
 
     verify = certify_sub.add_parser(
         "verify", help="replay certificate files through the verifier"

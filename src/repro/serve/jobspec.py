@@ -29,13 +29,19 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, Optional
 
 from repro.errors import ReproError
-from repro.protocols.scenarios import SCENARIOS
+from repro.protocols.scenarios import (
+    FALSIFY_KX,
+    FUZZ_SCENARIO,
+    SCENARIOS,
+    SWEEPS,
+    falsify_target,
+)
 
 #: Experiments the service accepts; each mirrors a CLI code path.
 EXPERIMENTS = ("falsify", "protocol", "fuzz", "explore")
 
 #: Named protocols for ``experiment=protocol`` sweeps.
-SWEEP_PROTOCOLS = ("racing", "minseen")
+SWEEP_PROTOCOLS = tuple(SWEEPS)
 
 #: Exploration scenarios: ``repro explore --scenario``'s table.
 EXPLORE_SCENARIOS = tuple(SCENARIOS)
@@ -44,6 +50,25 @@ EXPLORE_SCENARIOS = tuple(SCENARIOS)
 MAX_SEEDS = 100_000
 MAX_RUNS = 100_000
 MAX_CONFIGS = 5_000_000
+
+#: Name field -> the names it accepts.
+_NAMES = {
+    "experiment": EXPERIMENTS,
+    "protocol": SWEEP_PROTOCOLS,
+    "scenario": EXPLORE_SCENARIOS,
+}
+
+#: Integer field -> inclusive ``(low, high)`` range; a field without a
+#: high bound may also be null.
+_RANGES = {
+    "seeds": (1, MAX_SEEDS),
+    "runs": (1, MAX_RUNS),
+    "schedule_length": (1, 10_000),
+    "max_configs": (1, MAX_CONFIGS),
+    "max_steps": (1, None),
+    "prefix_depth": (0, 8),
+    "chunk_size": (1, None),
+}
 
 
 class JobSpecError(ReproError):
@@ -74,51 +99,23 @@ class JobSpec:
 
     def __post_init__(self):
         """Reject invalid parameter combinations at construction time."""
-        if self.experiment not in EXPERIMENTS:
-            raise JobSpecError(
-                f"unknown experiment {self.experiment!r}; expected one "
-                f"of {EXPERIMENTS}"
-            )
-        if self.protocol not in SWEEP_PROTOCOLS:
-            raise JobSpecError(
-                f"unknown protocol {self.protocol!r}; expected one of "
-                f"{SWEEP_PROTOCOLS}"
-            )
-        if self.scenario not in EXPLORE_SCENARIOS:
-            raise JobSpecError(
-                f"unknown scenario {self.scenario!r}; expected one of "
-                f"{EXPLORE_SCENARIOS}"
-            )
-        if not 1 <= self.seeds <= MAX_SEEDS:
-            raise JobSpecError(
-                f"seeds must be in [1, {MAX_SEEDS}], got {self.seeds}"
-            )
-        if not 1 <= self.runs <= MAX_RUNS:
-            raise JobSpecError(
-                f"runs must be in [1, {MAX_RUNS}], got {self.runs}"
-            )
-        if not 1 <= self.schedule_length <= 10_000:
-            raise JobSpecError(
-                f"schedule_length must be in [1, 10000], got "
-                f"{self.schedule_length}"
-            )
-        if not 1 <= self.max_configs <= MAX_CONFIGS:
-            raise JobSpecError(
-                f"max_configs must be in [1, {MAX_CONFIGS}], got "
-                f"{self.max_configs}"
-            )
-        if self.max_steps is not None and self.max_steps < 1:
-            raise JobSpecError(
-                f"max_steps must be >= 1 or null, got {self.max_steps}"
-            )
-        if not 0 <= self.prefix_depth <= 8:
-            raise JobSpecError(
-                f"prefix_depth must be in [0, 8], got {self.prefix_depth}"
-            )
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise JobSpecError(
-                f"chunk_size must be >= 1 or null, got {self.chunk_size}"
-            )
+        for name, legal in _NAMES.items():
+            value = getattr(self, name)
+            if value not in legal:
+                raise JobSpecError(
+                    f"unknown {name} {value!r}; expected one of {legal}"
+                )
+        for name, (low, high) in _RANGES.items():
+            value = getattr(self, name)
+            if high is None:
+                if value is not None and value < low:
+                    raise JobSpecError(
+                        f"{name} must be >= {low} or null, got {value}"
+                    )
+            elif value is None or not low <= value <= high:
+                raise JobSpecError(
+                    f"{name} must be in [{low}, {high}], got {value}"
+                )
 
     def to_dict(self) -> Dict[str, Any]:
         """The spec as a JSON-ready dict (the persisted wire form)."""
@@ -175,53 +172,39 @@ class JobSpec:
 def build_job(spec: JobSpec):
     """Build the campaign job a spec describes.
 
-    Mirrors the CLI construction paths exactly (``cmd_campaign`` /
-    ``cmd_explore`` in :mod:`repro.__main__`), so a service job and the
-    equivalent batch invocation produce ``==``-identical reports — and
-    identical checkpoint fingerprints, which is what lets a restarted
-    server resume a journal written before the crash.
+    Every target comes from :mod:`repro.protocols.scenarios`, the
+    registry ``repro campaign`` and ``repro explore`` read too, so a
+    service job and the equivalent batch invocation produce
+    ``==``-identical reports — and identical checkpoint fingerprints,
+    which is what lets a restarted server resume a journal written
+    before the crash.
     """
-    from repro.analysis.fuzz import DEFAULT_MAX_SAVED_VIOLATIONS
     from repro.campaign.jobs import (
         ExploreJob,
         FuzzJob,
         SweepProtocolJob,
         SweepSimulationJob,
     )
-    from repro.protocols import (
-        KSetAgreementTask,
-        MinSeen,
-        RacingConsensus,
-        TruncatedProtocol,
-    )
 
+    seeds = tuple(range(spec.seeds))
     if spec.experiment == "falsify":
+        protocol, inputs, task, _expect_safe = falsify_target()
+        k, x = FALSIFY_KX
         return SweepSimulationJob(
-            protocol=TruncatedProtocol(RacingConsensus(2), 1), k=1, x=1,
-            inputs=(0, 1), seeds=tuple(range(spec.seeds)),
-            task=KSetAgreementTask(1),
+            protocol=protocol, k=k, x=x, inputs=inputs, seeds=seeds,
+            task=task,
         )
     if spec.experiment == "protocol":
-        protocol, inputs, task = {
-            "racing": (
-                RacingConsensus(3), (0, 1, 1), KSetAgreementTask(1)
-            ),
-            "minseen": (
-                MinSeen(3, rounds=2), (4, 1, 9), KSetAgreementTask(3)
-            ),
-        }[spec.protocol]
+        protocol, inputs, task, _expect_safe = SWEEPS[spec.protocol]()
         return SweepProtocolJob(
-            protocol=protocol, inputs=inputs,
-            seeds=tuple(range(spec.seeds)), task=task,
+            protocol=protocol, inputs=inputs, seeds=seeds, task=task,
         )
     if spec.experiment == "fuzz":
+        protocol, inputs, task, _expect_safe = SCENARIOS[FUZZ_SCENARIO]()
         return FuzzJob(
-            protocol=TruncatedProtocol(RacingConsensus(3), 1),
-            inputs=(0, 1, 2), task=KSetAgreementTask(1), runs=spec.runs,
+            protocol=protocol, inputs=inputs, task=task, runs=spec.runs,
             schedule_length=spec.schedule_length, seed=spec.seed,
-            max_saved_violations=DEFAULT_MAX_SAVED_VIOLATIONS,
         )
-    # explore — the CLI's scenario table.
     protocol, inputs, task, _expect_safe = SCENARIOS[spec.scenario]()
     return ExploreJob(
         protocol=protocol, inputs=inputs, task=task,

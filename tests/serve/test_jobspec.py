@@ -1,10 +1,13 @@
 """JobSpec validation and the spec → campaign-job construction."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.__main__ import main
 from repro.campaign import engine, run_campaign
 from repro.campaign.checkpoint import job_fingerprint
+from repro.protocols.scenarios import BASE_OBJECT_SWEEPS
 from repro.serve.jobspec import (
     EXPLORE_SCENARIOS,
     JobSpec,
@@ -57,6 +60,13 @@ class TestValidation:
         with pytest.raises(JobSpecError, match="runs"):
             JobSpec.from_dict({"experiment": "fuzz",
                                "runs": 100_000_000})
+
+    def test_rejects_null_for_bounded_sizes(self):
+        """Only the open-ended sizes (max_steps, chunk_size) take null;
+        a null seed count is a 400, not a crash."""
+        for key in ("seeds", "runs", "max_configs", "prefix_depth"):
+            with pytest.raises(JobSpecError, match=f"{key} must be in"):
+                JobSpec.from_dict({"experiment": "fuzz", key: None})
 
     def test_rejects_retired_packed_key(self):
         """The explorer's ``packed`` option is retired: the key is now
@@ -111,25 +121,72 @@ def fingerprint(job):
     return job_fingerprint(job, job.total_units(), 4)
 
 
-class TestScenarioTable:
-    """The CLI and the service build explore jobs from one table."""
+class Captured(Exception):
+    """Carries the job the CLI handed the engine."""
 
-    @pytest.mark.parametrize("scenario", EXPLORE_SCENARIOS)
-    def test_cli_and_service_build_the_same_job(self, scenario, monkeypatch):
-        class Captured(Exception):
-            pass
 
-        def capture(job, **kwargs):
+def cli_job(argv, monkeypatch, index=0):
+    """The ``index``-th job ``main(argv)`` hands the engine.
+
+    Earlier jobs run with no seeds, so the command reaches the one
+    wanted; that one is captured before it runs.
+    """
+    seen = []
+
+    def capture(job, **kwargs):
+        seen.append(job)
+        if len(seen) > index:
             raise Captured(job)
+        return run_campaign(replace(job, seeds=()), workers=1)
 
-        monkeypatch.setattr(engine, "run_campaign", capture)
-        with pytest.raises(Captured) as excinfo:
-            main(["explore", "--scenario", scenario])
-        [cli_job] = excinfo.value.args
-        service_job = build_job(JobSpec.from_dict(
-            {"experiment": "explore", "scenario": scenario}
-        ))
-        assert fingerprint(cli_job) == fingerprint(service_job)
+    monkeypatch.setattr(engine, "run_campaign", capture)
+    with pytest.raises(Captured) as excinfo:
+        main(argv)
+    [job] = excinfo.value.args
+    return job
+
+
+#: ``(CLI argv, index of the job among those it builds, service spec)``
+#: for every route both front ends offer.
+ROUTES = [
+    *(
+        pytest.param(
+            ["explore", "--scenario", scenario], 0,
+            {"experiment": "explore", "scenario": scenario}, id=scenario,
+        )
+        for scenario in EXPLORE_SCENARIOS
+    ),
+    pytest.param(
+        ["campaign", "--experiment", "falsify"], 0,
+        {"experiment": "falsify"}, id="falsify",
+    ),
+    pytest.param(
+        ["campaign", "--experiment", "fuzz"], 0,
+        {"experiment": "fuzz"}, id="fuzz",
+    ),
+    *(
+        pytest.param(
+            ["campaign", "--experiment", "protocol",
+             "--base-object", base_object], index,
+            {"experiment": "protocol", "protocol": name},
+            id=f"protocol-{name}",
+        )
+        for base_object, names in BASE_OBJECT_SWEEPS.items()
+        for index, name in enumerate(names)
+    ),
+]
+
+
+class TestScenarioTable:
+    """The CLI and the service build their jobs from one registry."""
+
+    @pytest.mark.parametrize("argv, index, spec_dict", ROUTES)
+    def test_cli_and_service_build_the_same_job(
+        self, argv, index, spec_dict, monkeypatch
+    ):
+        cli = cli_job(argv, monkeypatch, index)
+        service_job = build_job(JobSpec.from_dict(spec_dict))
+        assert fingerprint(cli) == fingerprint(service_job)
 
     @pytest.mark.parametrize("spec_dict, expected", [
         ({"experiment": "explore", "scenario": "truncated"},
@@ -144,6 +201,14 @@ class TestScenarioTable:
          "3d150bccbb4c1b73"),
         ({"experiment": "protocol", "protocol": "minseen"},
          "ae58474fc853a6b8"),
+        ({"experiment": "falsify"}, "55f2072852522a9e"),
+        ({"experiment": "fuzz"}, "60bebf3994029c28"),
+        ({"experiment": "protocol", "protocol": "swap"},
+         "5fc63eb085576530"),
+        ({"experiment": "protocol", "protocol": "tas"},
+         "325c29433434461d"),
+        ({"experiment": "protocol", "protocol": "cas"},
+         "43c7a2071b018137"),
     ])
     def test_fingerprints_are_pinned(self, spec_dict, expected):
         """Journals written by earlier servers must still resume."""

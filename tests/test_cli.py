@@ -160,6 +160,43 @@ class TestCli:
         assert main(["explore", "--chunk-size", "-3"]) == 2
         assert "--chunk-size must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["campaign", "--experiment", "protocol", "--seeds", "-3"],
+         "--seeds must be >= 0, got -3"),
+        (["campaign", "--experiment", "fuzz", "--fuzz-runs", "-3"],
+         "--fuzz-runs must be >= 0, got -3"),
+        (["explore", "--max-configs", "0"],
+         "--max-configs must be >= 1, got 0"),
+        (["explore", "--max-steps", "0"],
+         "--max-steps must be >= 1, got 0"),
+        (["explore", "--prefix-depth", "-1"],
+         "--prefix-depth must be >= 0, got -1"),
+        (["certify", "emit", "--runs", "-1"],
+         "--runs must be >= 0, got -1"),
+    ], ids=["seeds", "fuzz-runs", "max-configs", "max-steps",
+            "prefix-depth", "emit-runs"])
+    def test_size_flag_below_its_floor_is_usage_error(
+        self, argv, message, tmp_path, capsys
+    ):
+        if argv[0] == "certify":
+            argv = argv + ["--out", str(tmp_path / "certs")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("base_object", ["swap", "tas", "cas"])
+    def test_campaign_base_object_sweeps_run_end_to_end(
+        self, base_object, capsys
+    ):
+        assert main([
+            "campaign", "--experiment", "protocol",
+            "--base-object", base_object, "--seeds", "6", "--workers", "1",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "protocol safety" in out
+        assert "campaign complete: all expectations held" in out
+
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["not-a-command"])
