@@ -9,7 +9,7 @@ throughput telemetry per family.  The engine shards seeds across a
 worker pool and merges partial reports deterministically, so the numbers
 printed here are identical for any worker count (docs/CAMPAIGNS.md).
 This is the "reproduce the paper's claims on my machine" entry point;
-the per-table detail lives in `pytest benchmarks/ --benchmark-only -s`.
+the per-table detail lives in `python -m repro bench run` (full mode).
 
 Usage:  python examples/campaign.py [seeds] [workers]
 """

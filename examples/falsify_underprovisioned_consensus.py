@@ -75,7 +75,7 @@ def main():
     print("the lower bound.  Runs labelled 'no violation observed' are not")
     print("counterevidence: the theorem promises SOME bad execution exists,")
     print("and the closer m sits to the bound, the rarer those executions")
-    print("are under random schedules (see benchmarks/bench_falsifier.py")
+    print("are under random schedules (see the E4 tables of `repro bench run`")
     print("for the systematic sweep).")
 
 

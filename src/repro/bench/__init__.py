@@ -1,24 +1,23 @@
 """The benchmark harness: measured experiments as first-class artifacts.
 
 The experiments of EXPERIMENTS.md (E1–E17) back every empirical claim
-in this reproduction, but as pytest-benchmark tests their numbers lived
-only in transient stdout.  This package turns them into the repo's
-perf-regression backbone:
+in this reproduction.  This package is their one harness:
 
-* :mod:`repro.bench.workloads` — each experiment's core workload as a
-  plain callable (shared with ``benchmarks/bench_*.py``);
-* :mod:`repro.bench.experiments` — the discovery registry mapping
-  experiment ids to payloads with quick/full parameterisations;
+* :mod:`repro.bench.experiments` — the registry: one function per
+  experiment holding its workload, its quick/full parameters, its
+  shape assertions and (full mode) its EXPERIMENTS.md tables;
 * :mod:`repro.bench.runner` — ``repro bench run``: warmup/repeat
-  measurement, median/IQR/throughput, environment fingerprint, and one
-  schema-versioned ``BENCH_<name>.json`` per experiment;
+  measurement, median/IQR/throughput, environment fingerprint, one
+  schema-versioned ``BENCH_<name>.json`` per experiment, and the
+  tables printed after each experiment's telemetry line;
 * :mod:`repro.bench.schema` — the artifact format and its validation;
 * :mod:`repro.bench.compare` — ``repro bench compare``: the noise-aware
   baseline regression gate CI runs (see docs/BENCHMARKS.md).
 
-Campaign-backed experiments (E4, E13, E14) execute through
-:mod:`repro.campaign`, so their artifacts record the engine's own
-telemetry (mode, workers, utilization) alongside the timing.
+Campaign-backed experiments (E4, E13–E17) execute through
+:mod:`repro.campaign` on one in-process worker, so their artifacts
+record the engine's own telemetry (mode, workers, utilization)
+alongside the timing.
 """
 
 from repro.bench.compare import (
@@ -32,6 +31,7 @@ from repro.bench.compare import (
 from repro.bench.experiments import (
     Experiment,
     PayloadResult,
+    Table,
     discover,
     resolve,
 )
@@ -63,6 +63,7 @@ __all__ = [
     "write_artifact",
     "Experiment",
     "PayloadResult",
+    "Table",
     "discover",
     "resolve",
     "BenchTelemetry",

@@ -105,7 +105,8 @@ def add_bench_parser(subparsers) -> None:
     )
     run.add_argument(
         "--quick", action="store_true",
-        help="CI-sized parameterisation of each workload",
+        help="CI-sized parameterisation of each workload (default: "
+             "full scale, printing the EXPERIMENTS.md tables)",
     )
     run.add_argument("--repeats", type=int, default=3,
                      help="timed repeats per experiment (default 3)")

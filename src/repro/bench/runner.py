@@ -6,7 +6,8 @@
 writes one schema-versioned artifact per experiment
 (:mod:`repro.bench.schema`).  Per-experiment timing telemetry is
 reported in the same one-line style as
-:class:`~repro.campaign.telemetry.CampaignTelemetry.summary`.
+:class:`~repro.campaign.telemetry.CampaignTelemetry.summary`, followed
+in full mode by the final repeat's EXPERIMENTS.md tables.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import pathlib
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.bench.experiments import Experiment, PayloadResult, resolve
 from repro.bench.schema import (
@@ -85,6 +86,17 @@ def measure_experiment(
     metrics are taken from the final repeat (payloads are deterministic
     at a given scale, so any repeat would do).
     """
+    return _measure(experiment, quick, repeats, warmup, environment)[0]
+
+
+def _measure(
+    experiment: Experiment,
+    quick: bool,
+    repeats: int,
+    warmup: int,
+    environment: Optional[EnvironmentFingerprint],
+) -> Tuple[BenchArtifact, PayloadResult]:
+    """:func:`measure_experiment`, also returning the final repeat's result."""
     if repeats < 1:
         raise ValidationError(f"repeats must be >= 1, got {repeats}")
     if warmup < 0:
@@ -108,7 +120,7 @@ def measure_experiment(
         samples_seconds=samples,
         metrics=result.metrics,
         environment=environment,
-    )
+    ), result
 
 
 def run_experiments(
@@ -125,7 +137,7 @@ def run_experiments(
     ``selectors`` picks experiments from the registry (``None`` = all);
     tests can instead inject an explicit ``experiments`` sequence.
     ``progress`` (e.g. ``print``) receives one telemetry line per
-    finished experiment.
+    finished experiment, then each of its tables (full mode only).
     """
     chosen = list(experiments) if experiments is not None else resolve(
         selectors
@@ -135,9 +147,8 @@ def run_experiments(
     paths: List[pathlib.Path] = []
     telemetry: List[BenchTelemetry] = []
     for experiment in chosen:
-        artifact = measure_experiment(
-            experiment, quick=quick, repeats=repeats, warmup=warmup,
-            environment=environment,
+        artifact, result = _measure(
+            experiment, quick, repeats, warmup, environment
         )
         path = write_artifact(artifact, out_dir)
         line = BenchTelemetry(
@@ -152,6 +163,8 @@ def run_experiments(
         )
         if progress is not None:
             progress(f"{line.summary()} -> {path}")
+            for table in result.tables:
+                progress(f"\n{table.render()}")
         artifacts.append(artifact)
         paths.append(path)
         telemetry.append(line)

@@ -45,10 +45,10 @@ import json
 import os
 import pickle
 import re
-import tempfile
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
 
+from repro.durable import atomic_write
 from repro.errors import CheckpointError
 
 #: Version stamp written into every journal header; bump on layout changes.
@@ -318,24 +318,7 @@ class CheckpointWriter:
                          record.report)
             for record in records
         ]
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=os.path.basename(self.path) + ".", suffix=".tmp",
-            dir=directory,
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write("\n".join(lines) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.path, "\n".join(lines) + "\n")
 
     def record_chunk(
         self, index: int, start: int, stop: int, report: Any

@@ -24,11 +24,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence
 
 from repro.certify.canonical import canonical_json, canonical_payload
+from repro.durable import atomic_write
 from repro.errors import CertificateError
 
 #: Version stamp of the certificate layout; bump on payload changes.
@@ -220,26 +220,6 @@ def certificate_filename(certificate: Certificate) -> str:
     return f"{certificate.kind}-{certificate.checksum[:16]}.json"
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """tmp → fsync → rename, as the checkpoint journal writes its header."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-
-
 def write_certificates(
     directory: str, certificates: Sequence[Certificate]
 ) -> List[str]:
@@ -255,7 +235,7 @@ def write_certificates(
         path = os.path.join(
             directory, certificate_filename(certificate)
         )
-        _write_atomic(path, to_json(certificate) + "\n")
+        atomic_write(path, to_json(certificate) + "\n")
         paths.append(path)
     return paths
 

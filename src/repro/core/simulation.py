@@ -177,10 +177,11 @@ def _find_anchor(
     wider Block-Update was applied after it (Appendix C's condition).
 
     ``unsafe_skip_disqualification=True`` drops the "no wider Block-Update
-    since" check — an *ablation switch* used by the benchmarks to show that
+    since" check — an *ablation switch* used by experiment E8 to show that
     the condition is load-bearing: without it, a simulator revises a
     process whose past already contains simulated steps after the anchor,
-    and the Lemma 28 correspondence breaks (see bench_ablation.py).
+    and the Lemma 28 correspondence breaks (ablation A1, ``run_e8`` in
+    :mod:`repro.bench.experiments`).
     """
     wanted = set(components)
     size = len(wanted)

@@ -1,8 +1,9 @@
 """Structured experiment sweeps: many seeds, one report.
 
 The experiments run the same harness across schedule seeds and aggregate
-what happened.  This module centralizes that pattern so benchmarks, the
-CLI, and user code produce consistent, comparable reports:
+what happened.  This module centralizes that pattern so the experiment
+registry (:mod:`repro.bench.experiments`), the CLI, and user code
+produce consistent, comparable reports:
 
 * :func:`sweep_simulation` — the revisionist simulation across seeds, with
   task checking and optional Lemma 28 verification per run;

@@ -15,6 +15,7 @@ from repro.runtime.events import Annotate, Event, Invoke
 from repro.runtime.process import CRASHED, DONE, READY, Process
 from repro.runtime.scheduler import (
     AdversarialScheduler,
+    CrashAfterScheduler,
     ObstructionScheduler,
     RandomScheduler,
     RoundRobinScheduler,
@@ -34,6 +35,7 @@ __all__ = [
     "Scheduler",
     "RoundRobinScheduler",
     "RandomScheduler",
+    "CrashAfterScheduler",
     "SoloScheduler",
     "ObstructionScheduler",
     "AdversarialScheduler",

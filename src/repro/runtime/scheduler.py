@@ -7,6 +7,8 @@ adversary family used in the paper and its surrounding literature:
 * :class:`RoundRobinScheduler` — the fair synchronous-ish baseline.
 * :class:`RandomScheduler` — a seeded stochastic adversary; drives the
   randomized interleaving search used by the correctness experiments.
+* :class:`CrashAfterScheduler` — the random adversary that crashes one
+  victim after its first few steps (the crash-tolerance experiments).
 * :class:`SoloScheduler` — runs one process alone (solo executions, used for
   obstruction-freedom and the Appendix A construction).
 * :class:`ObstructionScheduler` — after an arbitrary prefix, lets a set of at
@@ -97,6 +99,37 @@ class RandomScheduler(Scheduler):
             return self._rng.choices(pids, weights=weights, k=1)[0]
         return self._rng.choice(pids)
 
+
+class CrashAfterScheduler(RandomScheduler):
+    """Random scheduling, but crash ``victim`` after its ``after``-th step.
+
+    The crash is requested through ``pending_crashes`` (which
+    :class:`~repro.runtime.system.System` polls), and the turn the
+    victim would have taken goes to another active process.
+    """
+
+    def __init__(self, seed: int, victim: int, after: int) -> None:
+        super().__init__(seed)
+        self.victim = victim
+        self.after = after
+        self._victim_steps = 0
+        self.pending_crashes: List[int] = []
+
+    def reset(self) -> None:
+        super().reset()
+        self._victim_steps = 0
+        self.pending_crashes = []
+
+    def next_pid(self, active: Sequence[int]) -> int:
+        pid = super().next_pid(active)
+        if pid == self.victim:
+            self._victim_steps += 1
+            if self._victim_steps > self.after:
+                self.pending_crashes.append(self.victim)
+                others = [p for p in active if p != self.victim]
+                if others:
+                    return super().next_pid(others)
+        return pid
 
 class SoloScheduler(Scheduler):
     """Run a single process alone.

@@ -105,6 +105,8 @@ class JobSpec:
                 raise JobSpecError(
                     f"unknown {name} {value!r}; expected one of {legal}"
                 )
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise JobSpecError(f"seed must be an integer, got {self.seed!r}")
         for name, (low, high) in _RANGES.items():
             value = getattr(self, name)
             if high is None:

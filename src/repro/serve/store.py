@@ -28,12 +28,12 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import tempfile
 import time
 import uuid
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.durable import atomic_write
 from repro.errors import ReproError
 from repro.serve.jobspec import JobSpec, JobSpecError
 
@@ -49,27 +49,6 @@ TERMINAL_STATES = ("done", "failed", "cancelled")
 
 class StoreError(ReproError):
     """A job directory is missing or unreadable."""
-
-
-def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via tmp → fsync → rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory,
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
 
 
 @dataclass
@@ -170,7 +149,7 @@ class JobStore:
 
     def save(self, job: ServeJob) -> None:
         """Persist the job's current state atomically."""
-        _atomic_write(
+        atomic_write(
             os.path.join(self.job_dir(job.id), "job.json"),
             json.dumps(job.to_dict(), sort_keys=True) + "\n",
         )
@@ -267,27 +246,11 @@ class JobStore:
         run); ``result.json`` carries what the HTTP API serves without
         unpickling.
         """
-        payload = pickle.dumps(result.report,
-                               protocol=pickle.HIGHEST_PROTOCOL)
-        directory = self.job_dir(job.id)
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            prefix="report.", suffix=".tmp", dir=directory,
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, self.report_path(job.id))
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.report_path(job.id), pickle.dumps(
+            result.report, protocol=pickle.HIGHEST_PROTOCOL,
+        ))
         certificates = getattr(result.report, "certificates", None) or []
-        _atomic_write(self.result_path(job.id), json.dumps({
+        atomic_write(self.result_path(job.id), json.dumps({
             "summary": result.report.summary(),
             "repr": repr(result.report),
             "telemetry": result.telemetry.summary(),

@@ -5,6 +5,7 @@ import pytest
 from repro.bench.experiments import (
     Experiment,
     PayloadResult,
+    Table,
     discover,
     resolve,
 )
@@ -89,6 +90,20 @@ class TestMeasurement:
         )
         assert len(lines) == 2
         assert "E98 one" in lines[0]
+
+    def test_tables_follow_the_telemetry_line(self, tmp_path):
+        table = Table("T1: demo", ("a", "bb"), [(1, 2), (333, 4)])
+        tabled = Experiment(
+            eid="E96", name="tabled", title="tables",
+            payload=lambda quick: PayloadResult(units=1, tables=[table]),
+        )
+        lines = []
+        run_experiments(out_dir=tmp_path, repeats=1, warmup=0,
+                        progress=lines.append, experiments=[tabled])
+        assert lines[0].startswith("E96 tabled: 1 units")
+        assert lines[1:] == [
+            "\n### T1: demo\na   | bb\n----+---\n1   | 2 \n333 | 4 "
+        ]
 
 
 class TestRealExperiments:

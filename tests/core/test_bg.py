@@ -14,6 +14,7 @@ from repro.errors import ModelError, ValidationError
 from repro.protocols import ImmediateDecide, MinSeen, RotatingWrites
 from repro.runtime import (
     AdversarialScheduler,
+    CrashAfterScheduler,
     RandomScheduler,
     RoundRobinScheduler,
     System,
@@ -174,33 +175,10 @@ class TestBGCrashTolerance:
     """The defining property: f crashed simulators block at most f
     simulated processes; the rest finish."""
 
-    class CrashAfterScheduler(RandomScheduler):
-        def __init__(self, seed, victim, after):
-            super().__init__(seed)
-            self.victim, self.after = victim, after
-            self._count = 0
-            self.pending_crashes = []
-
-        def reset(self):
-            super().reset()
-            self._count = 0
-            self.pending_crashes = []
-
-        def next_pid(self, active):
-            pid = super().next_pid(active)
-            if pid == self.victim:
-                self._count += 1
-                if self._count > self.after:
-                    self.pending_crashes.append(self.victim)
-                    others = [p for p in active if p != self.victim]
-                    if others:
-                        return super().next_pid(others)
-            return pid
-
     @pytest.mark.parametrize("after", [1, 2, 4, 7])
     def test_one_crash_blocks_at_most_one_process(self, after):
         inputs = [5, 2, 8, 1]
-        scheduler = self.CrashAfterScheduler(seed=3, victim=0, after=after)
+        scheduler = CrashAfterScheduler(seed=3, victim=0, after=after)
         outcome = run_bg_simulation(
             RotatingWrites(4, 3, rounds=3), inputs, simulators=3,
             scheduler=scheduler, max_steps=400_000, give_up_after=60,

@@ -23,36 +23,9 @@ from repro.protocols import (
 )
 from repro.runtime import (
     AdversarialScheduler,
-    RandomScheduler,
+    CrashAfterScheduler,
     System,
 )
-
-
-class CrashAfterScheduler(RandomScheduler):
-    """Random scheduling, but crash ``victim`` after its ``after``-th step."""
-
-    def __init__(self, seed, victim, after):
-        super().__init__(seed)
-        self.victim = victim
-        self.after = after
-        self._victim_steps = 0
-        self.pending_crashes = []
-
-    def reset(self):
-        super().reset()
-        self._victim_steps = 0
-        self.pending_crashes = []
-
-    def next_pid(self, active):
-        pid = super().next_pid(active)
-        if pid == self.victim:
-            self._victim_steps += 1
-            if self._victim_steps > self.after:
-                self.pending_crashes.append(self.victim)
-                others = [p for p in active if p != self.victim]
-                if others:
-                    return super().next_pid(others)
-        return pid
 
 
 class TestAugmentedSnapshotCrashTolerance:

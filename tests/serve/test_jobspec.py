@@ -54,6 +54,14 @@ class TestValidation:
         with pytest.raises(JobSpecError, match="must be a boolean"):
             JobSpec.from_dict({"experiment": "explore", "symmetry": 1})
 
+    def test_rejects_null_seed_and_keeps_every_integer(self):
+        with pytest.raises(JobSpecError, match="seed must be an integer"):
+            JobSpec.from_dict({"experiment": "fuzz", "seed": None,
+                               "runs": 5})
+        for seed in (-3, 0, 2**40):
+            spec = JobSpec.from_dict({"experiment": "fuzz", "seed": seed})
+            assert spec.seed == seed
+
     def test_rejects_out_of_range_sizes(self):
         with pytest.raises(JobSpecError, match="seeds"):
             JobSpec.from_dict({"experiment": "protocol", "seeds": 0})
