@@ -9,7 +9,8 @@ in this reproduction.  This package is their one harness:
 * :mod:`repro.bench.runner` — ``repro bench run``: warmup/repeat
   measurement, median/IQR/throughput, environment fingerprint, one
   schema-versioned ``BENCH_<name>.json`` per experiment, and the
-  tables printed after each experiment's telemetry line;
+  tables, built untimed after the repeats, printed after each
+  experiment's telemetry line;
 * :mod:`repro.bench.schema` — the artifact format and its validation;
 * :mod:`repro.bench.compare` — ``repro bench compare``: the noise-aware
   baseline regression gate CI runs (see docs/BENCHMARKS.md).

@@ -3,22 +3,24 @@
 Each :class:`Experiment` binds an experiment id to a *payload*: a
 callable taking ``quick`` (bool) and returning a :class:`PayloadResult`
 with the number of work units performed, the experiment's scalar
-metrics and, in full mode, its EXPERIMENTS.md tables as data.  A
+metrics and, in full mode, a builder of its EXPERIMENTS.md tables.  A
 payload is the whole experiment: its workload, its quick and full
 parameters, and every shape claim it makes, checked with ``assert`` (a
 benchmark number for a broken run is worse than no number).  ``quick``
 selects the CI-sized parameterisation the committed ``baselines/``
-record; full mode runs the EXPERIMENTS.md scale and adds the table
-workloads — the ablations ride with the experiment whose workload they
-share (A1 with E8, A2 with E10, A3 with E2).  The runner times payload
-calls from the outside — payloads only do work.
+record; full mode runs the EXPERIMENTS.md scale.  The runner times
+payload calls from the outside, so a payload does only the work its
+``units`` count; the table workloads — the ablations among them, which
+ride with the experiment whose workload they share (A1 with E8, A2 with
+E10, A3 with E2) — run in the table builder, which the runner calls
+once, untimed, after the final repeat.
 
 Campaign-backed experiments (E4, E13–E17) run through
 :mod:`repro.campaign` on one in-process worker, the mode every
 committed baseline recorded, and surface the engine's telemetry (mode,
 worker count, utilization) in their metrics, so a ``BENCH_*.json``
 records not just *how fast* but *which execution path* produced the
-number.  Full mode alone also runs E13/E14 on four workers for their
+number.  Only the E13/E14 table builders run four workers, for the
 speedup tables.
 """
 
@@ -55,11 +57,16 @@ class Table:
 
 @dataclass(frozen=True)
 class PayloadResult:
-    """What one payload execution did: units, metrics, full-mode tables."""
+    """What one payload execution did: units, metrics, full-mode tables.
+
+    ``tables`` (full mode only) builds the experiment's tables, running
+    any further workloads they need and asserting their shape claims;
+    it does work the timed call did not, so it is never timed.
+    """
 
     units: int
     metrics: Dict[str, Any] = field(default_factory=dict)
-    tables: Sequence[Table] = ()
+    tables: Optional[Callable[[], List[Table]]] = None
 
 
 @dataclass(frozen=True)
@@ -207,35 +214,40 @@ def run_e1(quick: bool) -> PayloadResult:
     metrics = {"schedules": seeds, "violations": 0}
     if quick:
         return PayloadResult(steps, metrics)
-    tables = []
-    for k_plus_1, m in ((2, 2), (3, 3), (5, 4)):
-        system, aug = _augmented_run(k_plus_1, m, 4, 12345)
-        assert check_all(system.trace, aug) == []
-        linearize(system.trace, aug)
-        assert aug.yield_counts[0] == 0  # Lemma 16: rank 0 never yields
+
+    def build_tables() -> List[Table]:
+        tables = []
+        for k_plus_1, m in ((2, 2), (3, 3), (5, 4)):
+            system, aug = _augmented_run(k_plus_1, m, 4, 12345)
+            assert check_all(system.trace, aug) == []
+            linearize(system.trace, aug)
+            assert aug.yield_counts[0] == 0  # Lemma 16: rank 0 never yields
+            tables.append(Table(
+                f"E1: Block-Update outcomes by rank (k+1={k_plus_1}, m={m})",
+                ("rank", "atomic", "yield ☡"),
+                [(rank, aug.atomic_counts[rank], aug.yield_counts[rank])
+                 for rank in range(k_plus_1)],
+            ))
         tables.append(Table(
-            f"E1: Block-Update outcomes by rank (k+1={k_plus_1}, m={m})",
-            ("rank", "atomic", "yield ☡"),
-            [(rank, aug.atomic_counts[rank], aug.yield_counts[rank])
-             for rank in range(k_plus_1)],
+            "E1b: Appendix B lemma checks over random schedules",
+            ("schedules checked", "violations"), [(seeds, 0)],
         ))
-    tables.append(Table(
-        "E1b: Appendix B lemma checks over random schedules",
-        ("schedules checked", "violations"), [(seeds, 0)],
-    ))
-    for k_plus_1 in (2, 3, 4, 6):
-        # Block-Updates are wait-free with cost linear in k.
-        system, aug = _augmented_run(k_plus_1, 2, 3, 7)
-        primitive = len(system.trace.steps())
-        ops = sum(aug.atomic_counts.values()) + sum(aug.yield_counts.values())
-        ratio = primitive / max(ops, 1)
-        assert ratio < 10 * k_plus_1
-        tables.append(Table(
-            f"E1c: primitive steps per operation (k+1={k_plus_1})",
-            ("k+1", "total primitive steps", "ops", "steps/op"),
-            [(k_plus_1, primitive, ops, round(ratio, 1))],
-        ))
-    return PayloadResult(steps, metrics, tables)
+        for k_plus_1 in (2, 3, 4, 6):
+            # Block-Updates are wait-free with cost linear in k.
+            system, aug = _augmented_run(k_plus_1, 2, 3, 7)
+            primitive = len(system.trace.steps())
+            ops = (sum(aug.atomic_counts.values())
+                   + sum(aug.yield_counts.values()))
+            ratio = primitive / max(ops, 1)
+            assert ratio < 10 * k_plus_1
+            tables.append(Table(
+                f"E1c: primitive steps per operation (k+1={k_plus_1})",
+                ("k+1", "total primitive steps", "ops", "steps/op"),
+                [(k_plus_1, primitive, ops, round(ratio, 1))],
+            ))
+        return tables
+
+    return PayloadResult(steps, metrics, build_tables)
 
 
 @_register("E2", "bounds", "Theorem 3 bound table across the (n, k, x) grid")
@@ -259,60 +271,66 @@ def run_e2(quick: bool) -> PayloadResult:
     metrics = {"tight_rows": sum(1 for row in rows if row.tight)}
     if quick:
         return PayloadResult(len(rows), metrics)
-    series = [
-        (n, kset_space_lower_bound(n, 1, 1), kset_space_upper_bound(n, 1, 1))
-        for n in range(2, 513)
-    ]
-    assert all(low == up == n for n, low, up in series)
-    pivot = []
-    for k in (1, 2, 4):
-        for x in range(1, k + 1):
-            for m in (1, 2, 4, 8):
-                n = simulated_process_count(m, k, x)
-                max_m = max_simulatable_registers(n, k, x)
-                lower = kset_space_lower_bound(n, k, x)
-                assert max_m >= m and lower >= m + 1
-                pivot.append((k, x, m, n, max_m, lower))
-    tables = [
-        Table(
-            "E2: space bounds for x-obstruction-free k-set agreement "
-            "(x=1 slice)",
-            ("n", "k", "x", "lower ⌊(n-x)/(k+1-x)⌋+1", "upper n-k+x", "gap",
-             "tight"),
-            [(r.n, r.k, r.x, r.lower, r.upper, r.gap,
-              "yes" if r.tight else "")
-             for r in rows
-             if r.x == 1 and r.n in (4, 8, 16, 32, 64) and r.k in (1, 2, 4, 8)],
-        ),
-        Table("E2b: consensus bounds meet at exactly n registers",
-              ("n", "lower", "upper"),
-              [row for row in series if row[0] in (2, 8, 64, 512)]),
-        Table("E2c: simulation pivot — n processes needed to simulate m "
-              "registers",
-              ("k", "x", "m", "n=(k+1-x)m+x", "max simulatable m",
-               "Thm 3 bound"), pivot),
-    ]
-    for n in (3, 4, 6):
-        # A3: space is a max over executions — solo runs write one
-        # component, contended ones approach the declared m = bound = n.
-        rng = random.Random(n)
-        schedules = [[0] * 30] + [
-            [rng.randrange(n) for _ in range(120)] for _ in range(10)
+
+    def build_tables() -> List[Table]:
+        series = [
+            (n, kset_space_lower_bound(n, 1, 1),
+             kset_space_upper_bound(n, 1, 1))
+            for n in range(2, 513)
         ]
-        report = measure_protocol_space(
-            RacingConsensus(n), [i % 2 for i in range(n)], schedules
-        )
-        bound = kset_space_lower_bound(n, 1, 1)
-        assert report.declared_m == bound == n
-        assert report.min_used == 1 and report.max_used <= n
-        tables.append(Table(
-            f"A3: components written, racing consensus n={n}",
-            ("declared m", "Theorem 3 bound", "min per run (solo)",
-             "max per run", "mean"),
-            [(report.declared_m, bound, report.min_used, report.max_used,
-              round(report.mean_used, 2))],
-        ))
-    return PayloadResult(len(rows), metrics, tables)
+        assert all(low == up == n for n, low, up in series)
+        pivot = []
+        for k in (1, 2, 4):
+            for x in range(1, k + 1):
+                for m in (1, 2, 4, 8):
+                    n = simulated_process_count(m, k, x)
+                    max_m = max_simulatable_registers(n, k, x)
+                    lower = kset_space_lower_bound(n, k, x)
+                    assert max_m >= m and lower >= m + 1
+                    pivot.append((k, x, m, n, max_m, lower))
+        tables = [
+            Table(
+                "E2: space bounds for x-obstruction-free k-set agreement "
+                "(x=1 slice)",
+                ("n", "k", "x", "lower ⌊(n-x)/(k+1-x)⌋+1", "upper n-k+x",
+                 "gap", "tight"),
+                [(r.n, r.k, r.x, r.lower, r.upper, r.gap,
+                  "yes" if r.tight else "")
+                 for r in rows
+                 if r.x == 1 and r.n in (4, 8, 16, 32, 64)
+                 and r.k in (1, 2, 4, 8)],
+            ),
+            Table("E2b: consensus bounds meet at exactly n registers",
+                  ("n", "lower", "upper"),
+                  [row for row in series if row[0] in (2, 8, 64, 512)]),
+            Table("E2c: simulation pivot — n processes needed to simulate m "
+                  "registers",
+                  ("k", "x", "m", "n=(k+1-x)m+x", "max simulatable m",
+                   "Thm 3 bound"), pivot),
+        ]
+        for n in (3, 4, 6):
+            # A3: space is a max over executions — solo runs write one
+            # component, contended ones approach the declared m = bound = n.
+            rng = random.Random(n)
+            schedules = [[0] * 30] + [
+                [rng.randrange(n) for _ in range(120)] for _ in range(10)
+            ]
+            report = measure_protocol_space(
+                RacingConsensus(n), [i % 2 for i in range(n)], schedules
+            )
+            bound = kset_space_lower_bound(n, 1, 1)
+            assert report.declared_m == bound == n
+            assert report.min_used == 1 and report.max_used <= n
+            tables.append(Table(
+                f"A3: components written, racing consensus n={n}",
+                ("declared m", "Theorem 3 bound", "min per run (solo)",
+                 "max per run", "mean"),
+                [(report.declared_m, bound, report.min_used, report.max_used,
+                  round(report.mean_used, 2))],
+            ))
+        return tables
+
+    return PayloadResult(len(rows), metrics, build_tables)
 
 
 def _positive_run(k: int, x: int, m: int, seed: int):
@@ -350,45 +368,50 @@ def run_e3(quick: bool) -> PayloadResult:
                "revisions": sum(o.revision_count() for o in outcomes)}
     if quick:
         return PayloadResult(steps, metrics)
-    tables = []
-    for k, x, m in ((1, 1, 2), (2, 1, 3), (3, 1, 2), (3, 2, 2)):
-        outcome = _positive_run(k, x, m, 31)
+
+    def build_tables() -> List[Table]:
+        tables = []
+        for k, x, m in ((1, 1, 2), (2, 1, 3), (3, 1, 2), (3, 2, 2)):
+            outcome = _positive_run(k, x, m, 31)
+            tables.append(Table(
+                f"E3: simulation run (k={k}, x={x}, m={m}, "
+                f"n={(k + 1 - x) * m + x})",
+                ("simulators", "decided", "Block-Updates", "revisions",
+                 "primitive steps"),
+                [(k + 1, len(outcome.decisions), outcome.block_update_count(),
+                  outcome.revision_count(), outcome.result.steps)],
+            ))
+        # Lemma 30's conclusion: every schedule decides in bounded steps.
+        sweep = [
+            run_simulation(RotatingWrites(7, 3, rounds=5), k=2, x=1,
+                           inputs=[7, 8, 9], scheduler=RandomScheduler(seed),
+                           max_steps=600_000)
+            for seed in range(15)
+        ]
+        decided = sum(1 for outcome in sweep if outcome.all_decided)
+        assert decided == 15
         tables.append(Table(
-            f"E3: simulation run (k={k}, x={x}, m={m}, "
-            f"n={(k + 1 - x) * m + x})",
-            ("simulators", "decided", "Block-Updates", "revisions",
-             "primitive steps"),
-            [(k + 1, len(outcome.decisions), outcome.block_update_count(),
-              outcome.revision_count(), outcome.result.steps)],
+            "E3b: wait-freedom sweep (k=2, x=1, m=3)",
+            ("schedules", "all-decided", "max primitive steps"),
+            [(15, decided, max(outcome.result.steps for outcome in sweep))],
         ))
-    # Lemma 30's conclusion: every schedule decides in bounded steps.
-    sweep = [
-        run_simulation(RotatingWrites(7, 3, rounds=5), k=2, x=1,
-                       inputs=[7, 8, 9], scheduler=RandomScheduler(seed),
-                       max_steps=600_000)
-        for seed in range(15)
-    ]
-    decided = sum(1 for outcome in sweep if outcome.all_decided)
-    assert decided == 15
-    tables.append(Table(
-        "E3b: wait-freedom sweep (k=2, x=1, m=3)",
-        ("schedules", "all-decided", "max primitive steps"),
-        [(15, decided, max(outcome.result.steps for outcome in sweep))],
-    ))
-    for m in (2, 3, 4):
-        # Lemma 30's counting: covering needs more Block-Updates as m rises.
-        outcome = run_simulation(
-            RotatingWrites(2 * m + 1, m, rounds=2 * m + 2), k=2, x=1,
-            inputs=[1, 2, 3], scheduler=RandomScheduler(11),
-            max_steps=800_000,
-        )
-        tables.append(Table(
-            f"E3c: covering work vs m (m={m})",
-            ("m", "Block-Updates", "revisions", "steps"),
-            [(m, outcome.block_update_count(), outcome.revision_count(),
-              outcome.result.steps)],
-        ))
-    return PayloadResult(steps, metrics, tables)
+        for m in (2, 3, 4):
+            # Lemma 30's counting: covering needs more Block-Updates as m
+            # rises.
+            outcome = run_simulation(
+                RotatingWrites(2 * m + 1, m, rounds=2 * m + 2), k=2, x=1,
+                inputs=[1, 2, 3], scheduler=RandomScheduler(11),
+                max_steps=800_000,
+            )
+            tables.append(Table(
+                f"E3c: covering work vs m (m={m})",
+                ("m", "Block-Updates", "revisions", "steps"),
+                [(m, outcome.block_update_count(), outcome.revision_count(),
+                  outcome.result.steps)],
+            ))
+        return tables
+
+    return PayloadResult(steps, metrics, build_tables)
 
 
 def _falsify(k: int, x: int, m: int, seeds):
@@ -429,34 +452,39 @@ def run_e4(quick: bool) -> PayloadResult:
     metrics.update(_campaign_metrics(result))
     if quick:
         return PayloadResult(report.runs, metrics)
-    tables = []
-    for k, x, m in ((1, 1, 1), (2, 1, 1), (2, 1, 2)):
-        n, sweep = _falsify(k, x, m, range(15))
-        bound = kset_space_lower_bound(n, k, x)
-        assert m < bound and sweep.report.runs == 15
-        if (k, x, m) in ((1, 1, 1), (2, 1, 1)):
-            # Far below the bound, random schedules break safety every time.
-            assert sweep.report.safety_violations == 15
-            assert sweep.report.first_violating_seed == 0
-        tables.append(Table(
-            f"E4: outcomes below the bound (k={k}, x={x}, m={m}, n={n}, "
-            f"bound={bound})",
-            ("safety violations", "divergences", "fully decided",
-             "runs/sec"),
-            [(sweep.report.safety_violations, sweep.report.divergences,
-              sweep.report.all_decided,
-              f"{sweep.telemetry.runs_per_second:.1f}")],
-        ))
-    # The violation belongs to the protocol, never to the simulation.
-    faithful = 10 - sweep_simulation_campaign(
-        TruncatedProtocol(RacingConsensus(3), 1), k=1, x=1, inputs=[0, 1],
-        seeds=range(10), max_steps=300_000, verify_correspondence=True,
-        workers=1,
-    ).report.correspondence_failures
-    assert faithful == 10
-    tables.append(Table("E4b: correspondence on falsifier runs",
-                        ("runs", "faithful"), [(10, faithful)]))
-    return PayloadResult(report.runs, metrics, tables)
+
+    def build_tables() -> List[Table]:
+        tables = []
+        for k, x, m in ((1, 1, 1), (2, 1, 1), (2, 1, 2)):
+            n, sweep = _falsify(k, x, m, range(15))
+            bound = kset_space_lower_bound(n, k, x)
+            assert m < bound and sweep.report.runs == 15
+            if (k, x, m) in ((1, 1, 1), (2, 1, 1)):
+                # Far below the bound, random schedules break safety every
+                # time.
+                assert sweep.report.safety_violations == 15
+                assert sweep.report.first_violating_seed == 0
+            tables.append(Table(
+                f"E4: outcomes below the bound (k={k}, x={x}, m={m}, n={n}, "
+                f"bound={bound})",
+                ("safety violations", "divergences", "fully decided",
+                 "runs/sec"),
+                [(sweep.report.safety_violations, sweep.report.divergences,
+                  sweep.report.all_decided,
+                  f"{sweep.telemetry.runs_per_second:.1f}")],
+            ))
+        # The violation belongs to the protocol, never to the simulation.
+        faithful = 10 - sweep_simulation_campaign(
+            TruncatedProtocol(RacingConsensus(3), 1), k=1, x=1, inputs=[0, 1],
+            seeds=range(10), max_steps=300_000, verify_correspondence=True,
+            workers=1,
+        ).report.correspondence_failures
+        assert faithful == 10
+        tables.append(Table("E4b: correspondence on falsifier runs",
+                            ("runs", "faithful"), [(10, faithful)]))
+        return tables
+
+    return PayloadResult(report.runs, metrics, build_tables)
 
 
 def _solo_probe():
@@ -507,51 +535,56 @@ def run_e5(quick: bool) -> PayloadResult:
     metrics = {"worst_solo_steps": worst}
     if quick:
         return PayloadResult(configurations, metrics)
-    tables = []
-    for machine, value in ((SpinOrCommit(), "v"), (TokenRace(), 1)):
-        converted = ConvertedMachine(machine)
-        output, measures, _covered = solo_run_machine(converted, value)
-        assert output is not None
-        assert converted.registers == machine.registers
+
+    def build_tables() -> List[Table]:
+        tables = []
+        for machine, value in ((SpinOrCommit(), "v"), (TokenRace(), 1)):
+            converted = ConvertedMachine(machine)
+            output, measures, _covered = solo_run_machine(converted, value)
+            assert output is not None
+            assert converted.registers == machine.registers
+            tables.append(Table(
+                f"E5: conversion of {machine.name}",
+                ("registers before", "registers after", "solo steps",
+                 "decided"),
+                [(machine.registers, converted.registers, len(measures),
+                  repr(output))],
+            ))
         tables.append(Table(
-            f"E5: conversion of {machine.name}",
-            ("registers before", "registers after", "solo steps", "decided"),
-            [(machine.registers, converted.registers, len(measures),
-              repr(output))],
+            "E5b: solo termination from all 9 register contents",
+            ("configurations probed", "worst solo steps"),
+            [(probed, worst)],
         ))
-    tables.append(Table(
-        "E5b: solo termination from all 9 register contents",
-        ("configurations probed", "worst solo steps"),
-        [(probed, worst)],
-    ))
-    # The conversion preserves space, not solo step complexity: it can
-    # take more solo steps than the luckiest nondeterministic chooser.
-    machine = TokenRace()
-    converted = ConvertedMachine(machine)
-    lucky = len(shortest_solo_path(machine, machine.initial_state(1), {}))
-    _out, measures, _cov = solo_run_machine(
-        converted, 1, initial_contents={0: 0, 1: 0}
-    )
-    assert len(measures) >= lucky
-    tables.append(Table(
-        "E5c: solo steps — luckiest chooser vs converted machine",
-        ("luckiest nondeterministic", "converted (adversarial contents)"),
-        [(lucky, len(measures))],
-    ))
-    finished = 0
-    for seed in range(10):
-        registers = make_registers(machine, prefix=f"R{seed}")
-        system = System()
-        for value in (0, 1):
-            system.add_process(converted_body(converted, registers, value))
-        result = system.run(RandomScheduler(seed), max_steps=3_000)
-        finished += len(result.outputs)
-    assert finished >= 15  # obstruction-free, not wait-free
-    tables.append(Table(
-        "E5d: concurrent converted processes over 10 schedules",
-        ("process runs", "decided"), [(20, finished)],
-    ))
-    return PayloadResult(configurations, metrics, tables)
+        # The conversion preserves space, not solo step complexity: it can
+        # take more solo steps than the luckiest nondeterministic chooser.
+        machine = TokenRace()
+        converted = ConvertedMachine(machine)
+        lucky = len(shortest_solo_path(machine, machine.initial_state(1), {}))
+        _out, measures, _cov = solo_run_machine(
+            converted, 1, initial_contents={0: 0, 1: 0}
+        )
+        assert len(measures) >= lucky
+        tables.append(Table(
+            "E5c: solo steps — luckiest chooser vs converted machine",
+            ("luckiest nondeterministic", "converted (adversarial contents)"),
+            [(lucky, len(measures))],
+        ))
+        finished = 0
+        for seed in range(10):
+            registers = make_registers(machine, prefix=f"R{seed}")
+            system = System()
+            for value in (0, 1):
+                system.add_process(converted_body(converted, registers, value))
+            result = system.run(RandomScheduler(seed), max_steps=3_000)
+            finished += len(result.outputs)
+        assert finished >= 15  # obstruction-free, not wait-free
+        tables.append(Table(
+            "E5d: concurrent converted processes over 10 schedules",
+            ("process runs", "decided"), [(20, finished)],
+        ))
+        return tables
+
+    return PayloadResult(configurations, metrics, build_tables)
 
 
 def _approx_steps(protocol, inputs, scheduler) -> int:
@@ -601,35 +634,39 @@ def run_e6(quick: bool) -> PayloadResult:
                "worst_bisection_steps": worst}
     if quick:
         return PayloadResult(total, metrics)
-    tables = []
-    for exponent, lower, steps in bisection_rows:
-        tables.append(Table(
-            f"E6: bisection protocol steps (ε=2^-{exponent})",
-            ("ε", "log3(1/ε) lower bound", "measured steps", "ratio"),
-            [(f"2^-{exponent}", round(lower, 1), steps,
-              round(steps / lower, 2))],
-        ))
-    for exponent, lower, steps in averaging_rows:
-        tables.append(Table(
-            f"E6b: averaging protocol steps (ε=2^-{exponent})",
-            ("ε", "log3(1/ε) lower bound", "measured steps"),
-            [(f"2^-{exponent}", round(lower, 1), steps)],
-        ))
-    eps = 2.0 ** -10
-    gap = 0.0
-    for seed in range(10):
-        inputs = [0, 1, seed % 2]
-        _system, result = run_protocol(
-            AveragingApprox(3, eps), inputs, RandomScheduler(seed),
-            max_steps=200_000,
-        )
-        assert ApproxAgreementTask(eps).check(inputs, result.outputs) == []
-        values = list(result.outputs.values())
-        gap = max(gap, max(values) - min(values))
-    assert gap <= eps
-    tables.append(Table("E6c: worst observed output gap (ε=2^-10)",
-                        ("ε", "worst gap"), [("2^-10", gap)]))
-    return PayloadResult(total, metrics, tables)
+
+    def build_tables() -> List[Table]:
+        tables = []
+        for exponent, lower, steps in bisection_rows:
+            tables.append(Table(
+                f"E6: bisection protocol steps (ε=2^-{exponent})",
+                ("ε", "log3(1/ε) lower bound", "measured steps", "ratio"),
+                [(f"2^-{exponent}", round(lower, 1), steps,
+                  round(steps / lower, 2))],
+            ))
+        for exponent, lower, steps in averaging_rows:
+            tables.append(Table(
+                f"E6b: averaging protocol steps (ε=2^-{exponent})",
+                ("ε", "log3(1/ε) lower bound", "measured steps"),
+                [(f"2^-{exponent}", round(lower, 1), steps)],
+            ))
+        eps = 2.0 ** -10
+        gap = 0.0
+        for seed in range(10):
+            inputs = [0, 1, seed % 2]
+            _system, result = run_protocol(
+                AveragingApprox(3, eps), inputs, RandomScheduler(seed),
+                max_steps=200_000,
+            )
+            assert ApproxAgreementTask(eps).check(inputs, result.outputs) == []
+            values = list(result.outputs.values())
+            gap = max(gap, max(values) - min(values))
+        assert gap <= eps
+        tables.append(Table("E6c: worst observed output gap (ε=2^-10)",
+                            ("ε", "worst gap"), [("2^-10", gap)]))
+        return tables
+
+    return PayloadResult(total, metrics, build_tables)
 
 
 @_register("E7", "approx_reduction",
@@ -662,30 +699,36 @@ def run_e7(quick: bool) -> PayloadResult:
     metrics = {"m_values": len(ms)}
     if quick:
         return PayloadResult(sum(steps.values()), metrics)
-    tables = [
-        Table(
-            f"E7: simulator steps vs ε (m={m})",
-            ("ε", "log3(1/ε)", "simulator steps", "crossover"),
-            [(f"2^-{exp}", round(math.log(2.0 ** exp, 3), 1), steps[m, exp],
-              "below bound" if steps[m, exp] < math.log(2.0 ** exp, 3)
-              else "")
-             for exp in exponents],
-        )
-        for m in ms
-    ]
-    by_m = [(m, simulate(m, 12).max_steps_taken) for m in ms]
-    counts = [count for _m, count in by_m]
-    assert counts == sorted(counts)  # f(m) grows with m
-    tables.append(Table("E7b: simulator steps vs m (ε fixed at 2^-12)",
-                        ("m", "simulator steps (f(m)² shape)"), by_m))
-    correspondence = check_correspondence(outcomes[2, 16])
-    assert correspondence.ok
-    tables.append(Table(
-        "E7c: Lemma 28 correspondence on the Appendix D reduction",
-        ("σ length", "hidden steps", "ok"),
-        [(len(correspondence.entries), correspondence.hidden_steps, "yes")],
-    ))
-    return PayloadResult(sum(steps.values()), metrics, tables)
+
+    def build_tables() -> List[Table]:
+        tables = [
+            Table(
+                f"E7: simulator steps vs ε (m={m})",
+                ("ε", "log3(1/ε)", "simulator steps", "crossover"),
+                [(f"2^-{exp}", round(math.log(2.0 ** exp, 3), 1),
+                  steps[m, exp],
+                  "below bound" if steps[m, exp] < math.log(2.0 ** exp, 3)
+                  else "")
+                 for exp in exponents],
+            )
+            for m in ms
+        ]
+        by_m = [(m, simulate(m, 12).max_steps_taken) for m in ms]
+        counts = [count for _m, count in by_m]
+        assert counts == sorted(counts)  # f(m) grows with m
+        tables.append(Table("E7b: simulator steps vs m (ε fixed at 2^-12)",
+                            ("m", "simulator steps (f(m)² shape)"), by_m))
+        correspondence = check_correspondence(outcomes[2, 16])
+        assert correspondence.ok
+        tables.append(Table(
+            "E7c: Lemma 28 correspondence on the Appendix D reduction",
+            ("σ length", "hidden steps", "ok"),
+            [(len(correspondence.entries), correspondence.hidden_steps,
+              "yes")],
+        ))
+        return tables
+
+    return PayloadResult(sum(steps.values()), metrics, build_tables)
 
 
 def _rotating_simulation(seed: int, rounds: int, unsafe_anchor: bool = False):
@@ -717,34 +760,38 @@ def run_e8(quick: bool) -> PayloadResult:
     if quick:
         return PayloadResult(sigma, metrics)
     assert hidden > 0  # the machinery genuinely revises pasts
-    tables = [
-        Table(f"E8: correspondence check (seed={seed})",
-              ("real ops", "σ length", "hidden steps"),
-              [(len(outcomes[seed].system.trace.steps()),
-                len(checks[seed].entries), checks[seed].hidden_steps)])
-        for seed in (0, 7, 13)
-    ]
-    tables.append(Table(
-        "E8b: revision statistics over 20 schedules (k=2, x=1, m=3)",
-        ("runs checked", "revisions", "hidden steps validated"),
-        [(seeds, sum(o.revision_count() for o in outcomes), hidden)],
-    ))
-    # A1: without Appendix C's anchor disqualification, Lemma 28 breaks.
-    broken_safe = sum(1 for check in checks[:10] if not check.ok)
-    broken_unsafe = sum(
-        1 for seed in range(10)
-        if not check_correspondence(
-            _rotating_simulation(seed, rounds, unsafe_anchor=True)
-        ).ok
-    )
-    assert broken_safe == 0 and broken_unsafe == 10
-    tables.append(Table(
-        "A1: dropping the anchor disqualification rule",
-        ("variant", "runs", "Lemma 28 violations"),
-        [("paper rule", 10, broken_safe),
-         ("ablated (no disqualification)", 10, broken_unsafe)],
-    ))
-    return PayloadResult(sigma, metrics, tables)
+
+    def build_tables() -> List[Table]:
+        tables = [
+            Table(f"E8: correspondence check (seed={seed})",
+                  ("real ops", "σ length", "hidden steps"),
+                  [(len(outcomes[seed].system.trace.steps()),
+                    len(checks[seed].entries), checks[seed].hidden_steps)])
+            for seed in (0, 7, 13)
+        ]
+        tables.append(Table(
+            "E8b: revision statistics over 20 schedules (k=2, x=1, m=3)",
+            ("runs checked", "revisions", "hidden steps validated"),
+            [(seeds, sum(o.revision_count() for o in outcomes), hidden)],
+        ))
+        # A1: without Appendix C's anchor disqualification, Lemma 28 breaks.
+        broken_safe = sum(1 for check in checks[:10] if not check.ok)
+        broken_unsafe = sum(
+            1 for seed in range(10)
+            if not check_correspondence(
+                _rotating_simulation(seed, rounds, unsafe_anchor=True)
+            ).ok
+        )
+        assert broken_safe == 0 and broken_unsafe == 10
+        tables.append(Table(
+            "A1: dropping the anchor disqualification rule",
+            ("variant", "runs", "Lemma 28 violations"),
+            [("paper rule", 10, broken_safe),
+             ("ablated (no disqualification)", 10, broken_unsafe)],
+        ))
+        return tables
+
+    return PayloadResult(sigma, metrics, build_tables)
 
 
 def _single_writer(n: int, rounds: int, seed: int):
@@ -789,39 +836,45 @@ def run_e9(quick: bool) -> PayloadResult:
     metrics = {"register_steps": steps, "steps_per_op": round(steps / ops, 2)}
     if quick:
         return PayloadResult(ops, metrics)
-    tables = [
-        Table(f"E9: AADGMS single-writer snapshot cost (n={n})",
-              ("n", "ops", "register steps", "steps/op"),
-              [(n, n_ops, n_steps, round(n_steps / n_ops, 1))])
-        for n, n_ops, n_steps in costs
-    ]
-    for seed in (0, 1, 2):
-        history = history_from_trace(_single_writer(3, 2, seed).trace, "S")
-        ok, _witness = check_linearizable(history, SnapshotSpec(3))
-        assert ok
-        tables.append(Table(f"E9b: linearizability check (seed={seed})",
-                            ("operations", "linearizable"),
-                            [(len(history), "yes")]))
-    for writers, m in ((3, 2), (4, 3), (6, 3)):
-        snapshot = AfekMWSnapshot("MW", components=m, initial=None)
-        system = System()
 
-        def body(proc):
-            for r in range(2):
-                yield from snapshot.update(proc.pid, (proc.pid + r) % m, r)
-                yield from snapshot.scan(proc.pid)
+    def build_tables() -> List[Table]:
+        tables = [
+            Table(f"E9: AADGMS single-writer snapshot cost (n={n})",
+                  ("n", "ops", "register steps", "steps/op"),
+                  [(n, n_ops, n_steps, round(n_steps / n_ops, 1))])
+            for n, n_ops, n_steps in costs
+        ]
+        for seed in (0, 1, 2):
+            history = history_from_trace(_single_writer(3, 2, seed).trace, "S")
+            ok, _witness = check_linearizable(history, SnapshotSpec(3))
+            assert ok
+            tables.append(Table(f"E9b: linearizability check (seed={seed})",
+                                ("operations", "linearizable"),
+                                [(len(history), "yes")]))
+        for writers, m in ((3, 2), (4, 3), (6, 3)):
+            snapshot = AfekMWSnapshot("MW", components=m, initial=None)
+            system = System()
 
-        for _ in range(writers):
-            system.add_process(body)
-        assert system.run(RandomScheduler(5), max_steps=2_000_000).completed
-        assert snapshot.register_count() == m
-        tables.append(Table(
-            f"E9c: multi-writer snapshot from m registers ({writers} writers)",
-            ("writers", "m", "registers used", "primitive steps"),
-            [(writers, m, snapshot.register_count(),
-              len(system.trace.steps()))],
-        ))
-    return PayloadResult(ops, metrics, tables)
+            def body(proc):
+                for r in range(2):
+                    yield from snapshot.update(proc.pid, (proc.pid + r) % m, r)
+                    yield from snapshot.scan(proc.pid)
+
+            for _ in range(writers):
+                system.add_process(body)
+            result = system.run(RandomScheduler(5), max_steps=2_000_000)
+            assert result.completed
+            assert snapshot.register_count() == m
+            tables.append(Table(
+                f"E9c: multi-writer snapshot from m registers "
+                f"({writers} writers)",
+                ("writers", "m", "registers used", "primitive steps"),
+                [(writers, m, snapshot.register_count(),
+                  len(system.trace.steps()))],
+            ))
+        return tables
+
+    return PayloadResult(ops, metrics, build_tables)
 
 
 @_register("E10", "classical",
@@ -861,69 +914,78 @@ def run_e10(quick: bool) -> PayloadResult:
                "counterexample_length": len(report.counterexample)}
     if quick:
         return PayloadResult(report.configurations, metrics)
-    bivalent = bivalent_initial_configurations(
-        RacingConsensus(2), [(a, b) for a in (0, 1) for b in (0, 1)]
-    )
-    assert {vector for vector, _ in bivalent} == {(0, 1), (1, 0)}
-    tables = [
-        Table("E10: FLP valence of racing consensus, inputs (0, 1)",
-              ("reachable decisions", "bivalent", "witness for 0",
-               "witness for 1"),
-              [(sorted(valence.values), "yes", valence.witnesses.get(0),
-                valence.witnesses.get(1))]),
-        Table("E10b: bivalent initial input vectors (FLP Lemma 2 shape)",
-              ("bivalent vectors",),
-              [(sorted(vector for vector, _ in bivalent),)]),
-    ]
-    for n in (2, 3, 4):
-        cover = build_covering(RacingConsensus(n), [i % 2 for i in range(n)])
-        assert cover.size == n
-        contents = release_covering(cover)
+
+    def build_tables() -> List[Table]:
+        bivalent = bivalent_initial_configurations(
+            RacingConsensus(2), [(a, b) for a in (0, 1) for b in (0, 1)]
+        )
+        assert {vector for vector, _ in bivalent} == {(0, 1), (1, 0)}
+        tables = [
+            Table("E10: FLP valence of racing consensus, inputs (0, 1)",
+                  ("reachable decisions", "bivalent", "witness for 0",
+                   "witness for 1"),
+                  [(sorted(valence.values), "yes", valence.witnesses.get(0),
+                    valence.witnesses.get(1))]),
+            Table("E10b: bivalent initial input vectors (FLP Lemma 2 shape)",
+                  ("bivalent vectors",),
+                  [(sorted(vector for vector, _ in bivalent),)]),
+        ]
+        for n in (2, 3, 4):
+            cover = build_covering(RacingConsensus(n),
+                                   [i % 2 for i in range(n)])
+            assert cover.size == n
+            contents = release_covering(cover)
+            tables.append(Table(
+                f"E10c: Burns-Lynch covering of n={n} components",
+                ("covered", "steps used", "block write obliterates"),
+                [(cover.size, cover.steps_used,
+                  "yes" if all(c is not None for c in contents) else "no")],
+            ))
         tables.append(Table(
-            f"E10c: Burns-Lynch covering of n={n} components",
-            ("covered", "steps used", "block write obliterates"),
-            [(cover.size, cover.steps_used,
-              "yes" if all(c is not None for c in contents) else "no")],
+            "E10d: exhaustive falsification of 3-process consensus on 1 "
+            "register",
+            ("configurations", "violation found", "counterexample length"),
+            [(report.configurations, "yes", len(report.counterexample))],
         ))
-    tables.append(Table(
-        "E10d: exhaustive falsification of 3-process consensus on 1 "
-        "register",
-        ("configurations", "violation found", "counterexample length"),
-        [(report.configurations, "yes", len(report.counterexample))],
-    ))
-    certified = 0
-    for inputs in ((0, 1), (1, 0), (0, 0), (1, 1)):
-        exhausted = explore_protocol(CommitAdopt(2), list(inputs),
-                                     CommitAdoptTask(), max_configs=2_000_000)
-        assert exhausted.safe and not exhausted.truncated
-        certified += exhausted.configurations
-    tables.append(Table(
-        "E10e: commit-adopt certified exhaustively (n=2, all input pairs)",
-        ("input vectors", "configurations", "violations"),
-        [(4, certified, 0)],
-    ))
-    budgets = [(rounds, CommitAdoptConsensus(2, max_rounds=rounds).m)
-               for rounds in (1, 2, 4, 8, 16)]
-    assert budgets[-1][1] == 64  # 2n fresh registers per round
-    tables.append(Table("E10f: CA-consensus register count vs round budget "
-                        "(n=2)",
-                        ("round budget", "registers (2n per round)"),
-                        budgets))
-    # A2: replaying a schedule over the pure configuration space decides
-    # exactly what the runtime decided.
-    protocol = RacingConsensus(3)
-    agree = 0
-    for seed in range(10):
-        system, result = run_protocol(protocol, [0, 1, 1],
-                                      RandomScheduler(seed), max_steps=50_000)
-        schedule = [event.pid for event in system.trace.steps()]
-        agree += replay_schedule(protocol, [0, 1, 1],
-                                 schedule) == result.outputs
-    assert agree == 10
-    tables.append(Table("A2: pure replay vs runtime execution (same "
-                        "schedules)",
-                        ("schedules", "identical decisions"), [(10, agree)]))
-    return PayloadResult(report.configurations, metrics, tables)
+        certified = 0
+        for inputs in ((0, 1), (1, 0), (0, 0), (1, 1)):
+            exhausted = explore_protocol(
+                CommitAdopt(2), list(inputs), CommitAdoptTask(),
+                max_configs=2_000_000,
+            )
+            assert exhausted.safe and not exhausted.truncated
+            certified += exhausted.configurations
+        tables.append(Table(
+            "E10e: commit-adopt certified exhaustively (n=2, all input pairs)",
+            ("input vectors", "configurations", "violations"),
+            [(4, certified, 0)],
+        ))
+        budgets = [(rounds, CommitAdoptConsensus(2, max_rounds=rounds).m)
+                   for rounds in (1, 2, 4, 8, 16)]
+        assert budgets[-1][1] == 64  # 2n fresh registers per round
+        tables.append(Table("E10f: CA-consensus register count vs round "
+                            "budget (n=2)",
+                            ("round budget", "registers (2n per round)"),
+                            budgets))
+        # A2: replaying a schedule over the pure configuration space decides
+        # exactly what the runtime decided.
+        protocol = RacingConsensus(3)
+        agree = 0
+        for seed in range(10):
+            system, result = run_protocol(protocol, [0, 1, 1],
+                                          RandomScheduler(seed),
+                                          max_steps=50_000)
+            schedule = [event.pid for event in system.trace.steps()]
+            agree += replay_schedule(protocol, [0, 1, 1],
+                                     schedule) == result.outputs
+        assert agree == 10
+        tables.append(Table("A2: pure replay vs runtime execution (same "
+                            "schedules)",
+                            ("schedules", "identical decisions"),
+                            [(10, agree)]))
+        return tables
+
+    return PayloadResult(report.configurations, metrics, build_tables)
 
 
 @_register("E11", "bg", "Cooperative BG simulation baseline")
@@ -946,44 +1008,42 @@ def run_e11(quick: bool) -> PayloadResult:
     metrics = {"simulator_counts": len(outcomes)}
     if quick:
         return PayloadResult(steps, metrics)
-    tables = [
-        Table(f"E11: BG simulation ({simulators} simulators, 4 processes)",
-              ("simulators", "processes completed", "primitive steps",
-               "safe-agreement registers"),
-              [(simulators, outcome.completed_processes,
-                outcome.result.steps, outcome.system.total_registers())])
-        for simulators, outcome in outcomes
-    ]
-    stranded = []
-    for after in (1, 2, 3, 5, 8):
-        outcome = run_bg_simulation(
-            RotatingWrites(4, 3, rounds=3), inputs, simulators=3,
-            scheduler=CrashAfterScheduler(seed=3, victim=0, after=after),
-            max_steps=500_000, give_up_after=60,
-        )
-        stranded.append(len(inputs) - outcome.completed_processes)
-    assert max(stranded) <= 1  # f = 1 crash strands at most 1 process
-    tables.append(Table(
-        "E11b: simulated processes stranded by one simulator crash",
-        ("crash points tried", "max stranded", "bound (f=1)"),
-        [(len(stranded), max(stranded), 1)],
-    ))
-    return PayloadResult(steps, metrics, tables)
+
+    def build_tables() -> List[Table]:
+        tables = [
+            Table(f"E11: BG simulation ({simulators} simulators, 4 processes)",
+                  ("simulators", "processes completed", "primitive steps",
+                   "safe-agreement registers"),
+                  [(simulators, outcome.completed_processes,
+                    outcome.result.steps, outcome.system.total_registers())])
+            for simulators, outcome in outcomes
+        ]
+        stranded = []
+        for after in (1, 2, 3, 5, 8):
+            outcome = run_bg_simulation(
+                RotatingWrites(4, 3, rounds=3), inputs, simulators=3,
+                scheduler=CrashAfterScheduler(seed=3, victim=0, after=after),
+                max_steps=500_000, give_up_after=60,
+            )
+            stranded.append(len(inputs) - outcome.completed_processes)
+        assert max(stranded) <= 1  # f = 1 crash strands at most 1 process
+        tables.append(Table(
+            "E11b: simulated processes stranded by one simulator crash",
+            ("crash points tried", "max stranded", "bound (f=1)"),
+            [(len(stranded), max(stranded), 1)],
+        ))
+        return tables
+
+    return PayloadResult(steps, metrics, build_tables)
 
 
 @_register("E12", "registers", "The stack lowered to raw registers")
 def run_e12(quick: bool) -> PayloadResult:
     """E12: protocols and the whole reduction over raw registers."""
     from repro.core import run_simulation
-    from repro.protocols import (
-        KSetAgreementTask,
-        MinSeen,
-        RacingConsensus,
-        RotatingWrites,
-        TruncatedProtocol,
-        run_protocol,
-    )
+    from repro.protocols import MinSeen, RotatingWrites, run_protocol
     from repro.protocols.registers_runtime import run_protocol_on_registers
+    from repro.protocols.scenarios import FALSIFY_KX, falsify_target
     from repro.runtime import RandomScheduler
 
     lowered = []
@@ -1002,47 +1062,53 @@ def run_e12(quick: bool) -> PayloadResult:
                                      for _n, _r, snapshot in lowered)}
     if quick:
         return PayloadResult(steps, metrics)
-    tables = []
-    for n, result, snapshot in lowered:
-        _native_system, native = run_protocol(
-            MinSeen(n, rounds=2), list(range(n)), RandomScheduler(5)
-        )
+
+    def build_tables() -> List[Table]:
+        tables = []
+        for n, result, snapshot in lowered:
+            _native_system, native = run_protocol(
+                MinSeen(n, rounds=2), list(range(n)), RandomScheduler(5)
+            )
+            tables.append(Table(
+                f"E12: register-level lowering (min-seen, n={n})",
+                ("native snapshot steps", "register steps", "blow-up",
+                 "registers used"),
+                [(native.steps, result.steps,
+                  round(result.steps / native.steps, 1),
+                  snapshot.register_count())],
+            ))
+
+        def simulate(register_level):
+            return run_simulation(
+                RotatingWrites(5, 2, rounds=3), k=1, x=1, inputs=[4, 7],
+                scheduler=RandomScheduler(2), max_steps=1_000_000,
+                register_level=register_level,
+            )
+
+        on_registers = simulate(True)
+        assert on_registers.all_decided
         tables.append(Table(
-            f"E12: register-level lowering (min-seen, n={n})",
-            ("native snapshot steps", "register steps", "blow-up",
-             "registers used"),
-            [(native.steps, result.steps,
-              round(result.steps / native.steps, 1),
-              snapshot.register_count())],
+            "E12b: the whole reduction on raw registers",
+            ("native steps", "register steps", "registers (H + helping)"),
+            [(simulate(False).result.steps, on_registers.result.steps,
+              on_registers.aug.register_count())],
         ))
-
-    def simulate(register_level):
-        return run_simulation(
-            RotatingWrites(5, 2, rounds=3), k=1, x=1, inputs=[4, 7],
-            scheduler=RandomScheduler(2), max_steps=1_000_000,
-            register_level=register_level,
+        target = falsify_target()
+        k, x = FALSIFY_KX
+        hits = sum(
+            1 for seed in range(5)
+            if run_simulation(
+                target.protocol, k=k, x=x, inputs=list(target.inputs),
+                scheduler=RandomScheduler(seed), max_steps=800_000,
+                register_level=True,
+            ).task_violations(target.task)
         )
+        assert hits == 5
+        tables.append(Table("E12c: Theorem 3 falsified on raw registers",
+                            ("runs", "agreement violations"), [(5, hits)]))
+        return tables
 
-    on_registers = simulate(True)
-    assert on_registers.all_decided
-    tables.append(Table(
-        "E12b: the whole reduction on raw registers",
-        ("native steps", "register steps", "registers (H + helping)"),
-        [(simulate(False).result.steps, on_registers.result.steps,
-          on_registers.aug.register_count())],
-    ))
-    hits = sum(
-        1 for seed in range(5)
-        if run_simulation(
-            TruncatedProtocol(RacingConsensus(2), 1), k=1, x=1,
-            inputs=[0, 1], scheduler=RandomScheduler(seed),
-            max_steps=800_000, register_level=True,
-        ).task_violations(KSetAgreementTask(1))
-    )
-    assert hits == 5
-    tables.append(Table("E12c: Theorem 3 falsified on raw registers",
-                        ("runs", "agreement violations"), [(5, hits)]))
-    return PayloadResult(steps, metrics, tables)
+    return PayloadResult(steps, metrics, build_tables)
 
 
 @_register("E13", "campaign",
@@ -1067,15 +1133,18 @@ def run_e13(quick: bool) -> PayloadResult:
     metrics = _campaign_metrics(serial)
     if quick:
         return PayloadResult(serial.report.runs, metrics)
-    parallel = sweep(4)
-    assert parallel.report == serial.report
-    assert parallel.report.summary() == serial.report.summary()
-    table = _speedup_table(
-        f"E13: campaign speedup on a {seeds}-seed verified sweep",
-        "runs/sec", serial, parallel,
-        lambda result: f"{result.telemetry.runs_per_second:.1f}",
-    )
-    return PayloadResult(serial.report.runs, metrics, [table])
+
+    def build_tables() -> List[Table]:
+        parallel = sweep(4)
+        assert parallel.report == serial.report
+        assert parallel.report.summary() == serial.report.summary()
+        return [_speedup_table(
+            f"E13: campaign speedup on a {seeds}-seed verified sweep",
+            "runs/sec", serial, parallel,
+            lambda result: f"{result.telemetry.runs_per_second:.1f}",
+        )]
+
+    return PayloadResult(serial.report.runs, metrics, build_tables)
 
 
 @_register("E14", "explore",
@@ -1101,21 +1170,25 @@ def run_e14(quick: bool) -> PayloadResult:
     metrics["violations"] = len(report.violations)
     if quick:
         return PayloadResult(report.configurations, metrics)
-    parallel = explore(4)
-    assert parallel.report == report
-    assert repr(parallel.report) == repr(report)
-    assert parallel.report.summary() == report.summary()
 
-    def configs_per_second(result):
-        wall = result.telemetry.wall_seconds
-        return f"{report.configurations / wall if wall > 0 else math.inf:,.0f}"
+    def build_tables() -> List[Table]:
+        parallel = explore(4)
+        assert parallel.report == report
+        assert repr(parallel.report) == repr(report)
+        assert parallel.report.summary() == report.summary()
 
-    table = _speedup_table(
-        f"E14: sharded exploration of {report.configurations} "
-        "configurations over 27 prefix subtrees",
-        "configs/sec", serial, parallel, configs_per_second,
-    )
-    return PayloadResult(report.configurations, metrics, [table])
+        def configs_per_second(result):
+            wall = result.telemetry.wall_seconds
+            rate = report.configurations / wall if wall > 0 else math.inf
+            return f"{rate:,.0f}"
+
+        return [_speedup_table(
+            f"E14: sharded exploration of {report.configurations} "
+            "configurations over 27 prefix subtrees",
+            "configs/sec", serial, parallel, configs_per_second,
+        )]
+
+    return PayloadResult(report.configurations, metrics, build_tables)
 
 
 @_register("E15", "chaos",
@@ -1172,26 +1245,29 @@ def run_e15(quick: bool) -> PayloadResult:
     metrics["resumed_chunks"] = resumed.telemetry.skipped_chunks
     if quick:
         return PayloadResult(faulted.report.runs, metrics)
-    start = time.perf_counter()
-    bare = run_campaign(job, workers=1, chunk_size=8)
-    bare_seconds = time.perf_counter() - start
-    assert faulted.report == bare.report
-    assert repr(faulted.report) == repr(bare.report)
-    rows = [
-        ("bare", f"{bare_seconds:.3f}", 0, 0,
-         f"{bare.telemetry.runs_per_second:.1f}"),
-        ("faulted+checkpointed", f"{faulted.telemetry.wall_seconds:.3f}",
-         faulted.telemetry.retries, 0,
-         f"{faulted.telemetry.runs_per_second:.1f}"),
-        ("resumed", f"{resumed.telemetry.wall_seconds:.3f}",
-         resumed.telemetry.retries, resumed.telemetry.skipped_chunks, "-"),
-    ]
-    table = Table(
-        f"E15: fault-tolerance overhead on a {seeds}-seed sweep "
-        "(reports identical across all three runs)",
-        ("run", "wall s", "retries", "resumed chunks", "runs/sec"), rows,
-    )
-    return PayloadResult(faulted.report.runs, metrics, [table])
+
+    def build_tables() -> List[Table]:
+        start = time.perf_counter()
+        bare = run_campaign(job, workers=1, chunk_size=8)
+        bare_seconds = time.perf_counter() - start
+        assert faulted.report == bare.report
+        assert repr(faulted.report) == repr(bare.report)
+        rows = [
+            ("bare", f"{bare_seconds:.3f}", 0, 0,
+             f"{bare.telemetry.runs_per_second:.1f}"),
+            ("faulted+checkpointed", f"{faulted.telemetry.wall_seconds:.3f}",
+             faulted.telemetry.retries, 0,
+             f"{faulted.telemetry.runs_per_second:.1f}"),
+            ("resumed", f"{resumed.telemetry.wall_seconds:.3f}",
+             resumed.telemetry.retries, resumed.telemetry.skipped_chunks, "-"),
+        ]
+        return [Table(
+            f"E15: fault-tolerance overhead on a {seeds}-seed sweep "
+            "(reports identical across all three runs)",
+            ("run", "wall s", "retries", "resumed chunks", "runs/sec"), rows,
+        )]
+
+    return PayloadResult(faulted.report.runs, metrics, build_tables)
 
 
 @_register("E16", "symmetry",
@@ -1225,26 +1301,29 @@ def run_e16(quick: bool) -> PayloadResult:
     metrics["symmetry"] = True
     if quick:
         return PayloadResult(result.report.configurations, metrics)
-    rows, ratios = [], []
-    for n in (2, 3, 4, 5):
-        full, reduced = explore(n, 10, False), explore(n, 10, True)
-        ratio = full.report.configurations / reduced.report.configurations
-        ratios.append(ratio)
-        rows.append((
-            n, f"{full.report.configurations:,}",
-            f"{reduced.report.configurations:,}", f"{ratio:.2f}x",
-            f"{full.telemetry.wall_seconds:.3f}",
-            f"{reduced.telemetry.wall_seconds:.3f}",
-        ))
-    assert all(b > a for a, b in zip(ratios, ratios[1:])), ratios
-    assert ratios[-1] > 2 * ratios[0], ratios
-    table = Table(
-        "E16: symmetry-reduced exploration of anonymous-sweep(m=2), "
-        "10-step horizon (verdicts identical in every row)",
-        ("n", "configs (full)", "configs (reduced)", "ratio",
-         "full wall s", "reduced wall s"), rows,
-    )
-    return PayloadResult(result.report.configurations, metrics, [table])
+
+    def build_tables() -> List[Table]:
+        rows, ratios = [], []
+        for n in (2, 3, 4, 5):
+            full, reduced = explore(n, 10, False), explore(n, 10, True)
+            ratio = full.report.configurations / reduced.report.configurations
+            ratios.append(ratio)
+            rows.append((
+                n, f"{full.report.configurations:,}",
+                f"{reduced.report.configurations:,}", f"{ratio:.2f}x",
+                f"{full.telemetry.wall_seconds:.3f}",
+                f"{reduced.telemetry.wall_seconds:.3f}",
+            ))
+        assert all(b > a for a, b in zip(ratios, ratios[1:])), ratios
+        assert ratios[-1] > 2 * ratios[0], ratios
+        return [Table(
+            "E16: symmetry-reduced exploration of anonymous-sweep(m=2), "
+            "10-step horizon (verdicts identical in every row)",
+            ("n", "configs (full)", "configs (reduced)", "ratio",
+             "full wall s", "reduced wall s"), rows,
+        )]
+
+    return PayloadResult(result.report.configurations, metrics, build_tables)
 
 
 @_register("E17", "base_objects",
@@ -1302,12 +1381,15 @@ def run_e17(quick: bool) -> PayloadResult:
     units = sum(r.report.configurations for r in results)
     if quick:
         return PayloadResult(units, metrics)
-    table = Table(
-        f"E17: base-object families, full enumeration (n={n}, "
-        f"domain={domain}, certificate gate on)",
-        ("family", "configurations", "safe", "certificates verified"),
-        [(family[0], r.report.configurations, r.report.safe,
-          r.telemetry.certificates_verified)
-         for family, r in zip(families, results)],
-    )
-    return PayloadResult(units, metrics, [table])
+
+    def build_tables() -> List[Table]:
+        return [Table(
+            f"E17: base-object families, full enumeration (n={n}, "
+            f"domain={domain}, certificate gate on)",
+            ("family", "configurations", "safe", "certificates verified"),
+            [(family[0], r.report.configurations, r.report.safe,
+              r.telemetry.certificates_verified)
+             for family, r in zip(families, results)],
+        )]
+
+    return PayloadResult(units, metrics, build_tables)

@@ -4,10 +4,12 @@
 ``warmup`` times untimed, then ``repeats`` times under
 ``time.perf_counter``, folds the samples into median/IQR/throughput, and
 writes one schema-versioned artifact per experiment
-(:mod:`repro.bench.schema`).  Per-experiment timing telemetry is
+(:mod:`repro.bench.schema`).  In full mode it then builds the final
+repeat's EXPERIMENTS.md tables, untimed: the samples cover exactly the
+work the artifact's ``units`` count.  Per-experiment timing telemetry is
 reported in the same one-line style as
 :class:`~repro.campaign.telemetry.CampaignTelemetry.summary`, followed
-in full mode by the final repeat's EXPERIMENTS.md tables.
+by those tables.
 """
 
 from __future__ import annotations
@@ -17,7 +19,12 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from repro.bench.experiments import Experiment, PayloadResult, resolve
+from repro.bench.experiments import (
+    Experiment,
+    PayloadResult,
+    Table,
+    resolve,
+)
 from repro.bench.schema import (
     BenchArtifact,
     EnvironmentFingerprint,
@@ -84,7 +91,9 @@ def measure_experiment(
     The payload runs ``warmup + repeats`` times; only the last
     ``repeats`` executions are timed.  The payload's work units and
     metrics are taken from the final repeat (payloads are deterministic
-    at a given scale, so any repeat would do).
+    at a given scale, so any repeat would do).  In full mode the final
+    repeat's tables are then built, untimed, so their shape claims are
+    checked before an artifact is returned.
     """
     return _measure(experiment, quick, repeats, warmup, environment)[0]
 
@@ -95,8 +104,8 @@ def _measure(
     repeats: int,
     warmup: int,
     environment: Optional[EnvironmentFingerprint],
-) -> Tuple[BenchArtifact, PayloadResult]:
-    """:func:`measure_experiment`, also returning the final repeat's result."""
+) -> Tuple[BenchArtifact, List[Table]]:
+    """:func:`measure_experiment`, also returning the final repeat's tables."""
     if repeats < 1:
         raise ValidationError(f"repeats must be >= 1, got {repeats}")
     if warmup < 0:
@@ -110,6 +119,7 @@ def _measure(
         result = experiment.run(quick)
         samples.append(time.perf_counter() - start)
     assert result is not None
+    tables = result.tables() if result.tables is not None else []
     return BenchArtifact.from_samples(
         experiment=experiment.eid,
         name=experiment.name,
@@ -120,7 +130,7 @@ def _measure(
         samples_seconds=samples,
         metrics=result.metrics,
         environment=environment,
-    ), result
+    ), tables
 
 
 def run_experiments(
@@ -147,7 +157,7 @@ def run_experiments(
     paths: List[pathlib.Path] = []
     telemetry: List[BenchTelemetry] = []
     for experiment in chosen:
-        artifact, result = _measure(
+        artifact, tables = _measure(
             experiment, quick, repeats, warmup, environment
         )
         path = write_artifact(artifact, out_dir)
@@ -163,7 +173,7 @@ def run_experiments(
         )
         if progress is not None:
             progress(f"{line.summary()} -> {path}")
-            for table in result.tables:
+            for table in tables:
                 progress(f"\n{table.render()}")
         artifacts.append(artifact)
         paths.append(path)

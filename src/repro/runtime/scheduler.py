@@ -131,6 +131,7 @@ class CrashAfterScheduler(RandomScheduler):
                     return super().next_pid(others)
         return pid
 
+
 class SoloScheduler(Scheduler):
     """Run a single process alone.
 

@@ -37,4 +37,4 @@ def test_quick_work_counts_match_baseline(experiment, baselines):
     result = experiment.run(quick=True)
     assert result.units == baseline.units
     assert deterministic(result.metrics) == deterministic(baseline.metrics)
-    assert result.tables == ()
+    assert result.tables is None

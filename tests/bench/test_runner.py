@@ -95,7 +95,8 @@ class TestMeasurement:
         table = Table("T1: demo", ("a", "bb"), [(1, 2), (333, 4)])
         tabled = Experiment(
             eid="E96", name="tabled", title="tables",
-            payload=lambda quick: PayloadResult(units=1, tables=[table]),
+            payload=lambda quick: PayloadResult(units=1,
+                                                tables=lambda: [table]),
         )
         lines = []
         run_experiments(out_dir=tmp_path, repeats=1, warmup=0,
@@ -104,6 +105,33 @@ class TestMeasurement:
         assert lines[1:] == [
             "\n### T1: demo\na   | bb\n----+---\n1   | 2 \n333 | 4 "
         ]
+
+    def test_tables_are_built_once_and_untimed(self, tmp_path, monkeypatch):
+        # On a fake clock a payload costs 1 s and its table workload 100 s:
+        # the samples must hold only the payload, the tables one build.
+        clock = [0.0]
+        events = []
+
+        def build_tables():
+            events.append("tables")
+            clock[0] += 100.0
+            return [Table("T2: slow", ("a",), [(1,)])]
+
+        def payload(quick):
+            events.append("run")
+            clock[0] += 1.0
+            return PayloadResult(units=5, tables=build_tables)
+
+        monkeypatch.setattr("repro.bench.runner.time.perf_counter",
+                            lambda: clock[0])
+        report = run_experiments(
+            out_dir=tmp_path, repeats=3, warmup=1, experiments=[
+                Experiment(eid="E95", name="slowtables", title="t",
+                           payload=payload),
+            ],
+        )
+        assert events == ["run"] * 4 + ["tables"]
+        assert list(report.artifacts[0].samples_seconds) == [1.0, 1.0, 1.0]
 
 
 class TestRealExperiments:
