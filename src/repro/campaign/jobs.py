@@ -42,9 +42,9 @@ from repro.protocols.base import Protocol
 #: One exploration slot per thread: ``(job, context, prefixes)`` for the
 #: last :class:`ExploreJob` object the thread ran.  A context's intern
 #: tables are not thread-safe, so threads never share one; a single slot
-#: per thread (not one per job) bounds the memory a long-lived scheduler
-#: holding every finished job would otherwise retain.  The slot holds the
-#: job itself, so the identity match can never hit a recycled ``id``.
+#: per thread (not one per job) bounds a long-lived thread's memory to
+#: one context, however many jobs it runs.  The slot holds the job
+#: itself, so the identity match can never hit a recycled ``id``.
 _EXPLORE_SLOT = threading.local()
 
 

@@ -22,6 +22,10 @@ is handed out, and job status files are atomically replaced
 on restart the scheduler finds non-terminal jobs, rebuilds their pumps
 with ``resume=True``, and their final reports come out ``==``-identical
 to uninterrupted runs.
+
+The scheduler holds live jobs only (a cancelled one until its chunks
+leave the workers); a finished job lives in the store alone, so cost
+and memory do not grow with job history.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from __future__ import annotations
 import asyncio
 import collections
 import math
-import pickle
 import time
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -39,7 +42,7 @@ from repro.campaign.partition import auto_workers
 from repro.campaign.pump import CampaignPump, ChunkTask, execute_chunk
 from repro.errors import CampaignError, CertificateError, ReproError
 from repro.serve.jobspec import JobSpec, build_job
-from repro.serve.store import JobStore, ServeJob
+from repro.serve.store import JobStore, ServeJob, StoreError
 
 
 class QuotaExceeded(ReproError):
@@ -56,18 +59,18 @@ class TenantQuotas:
 
 @dataclass
 class JobRuntime:
-    """In-memory companion of one active job: pump, events, counters."""
+    """In-memory companion of one job: pump, events, counters."""
 
     job: ServeJob
     pump: Optional[CampaignPump] = None
     events: List[Dict[str, Any]] = field(default_factory=list)
     event_added: "asyncio.Event" = field(default_factory=asyncio.Event)
     inflight: int = 0
-    use_threads: bool = False
 
     def progress(self) -> Dict[str, Any]:
-        """Chunk/unit progress counters for the status endpoint."""
-        if self.pump is None:
+        """Chunk/unit progress counters of a live job (``{}`` once it
+        is terminal; a done job's final progress is in its result)."""
+        if self.pump is None or self.job.terminal:
             return {}
         return {
             "total_chunks": self.pump.total_chunks,
@@ -86,8 +89,9 @@ class Scheduler:
     loop-affine (the HTTP handlers run on the same loop).  ``executor``
     selects where chunk bodies run: ``"process"`` (the default; a
     forking :class:`~concurrent.futures.ProcessPoolExecutor` exactly
-    like the batch engine) or ``"thread"`` (in-process threads — used
-    by tests and as the automatic fallback for unpicklable jobs).
+    like the batch engine) or ``"thread"`` (in-process threads).  Every
+    spec :class:`~repro.serve.jobspec.JobSpec` accepts builds a picklable
+    job, so both run every job.
     """
 
     def __init__(
@@ -130,8 +134,8 @@ class Scheduler:
         """
         self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
-        recovered = 0
-        for job in self.store.recoverable():
+        recovered = self.store.recoverable()
+        for job in recovered:
             runtime = JobRuntime(
                 job=job, events=self.store.read_events(job.id)
             )
@@ -143,15 +147,9 @@ class Scheduler:
             self._jobs[job.id] = runtime
             self._rotation.append(job.id)
             self._emit(runtime, {"event": "job-recovered"})
-            recovered += 1
-        for job in self.store.list_jobs():
-            if job.terminal and job.id not in self._jobs:
-                self._jobs[job.id] = JobRuntime(
-                    job=job, events=self.store.read_events(job.id)
-                )
         self._runner = asyncio.create_task(self._run())
         self._wake.set()
-        return recovered
+        return len(recovered)
 
     async def stop(self) -> None:
         """Stop dispatching and release the pool.
@@ -200,11 +198,19 @@ class Scheduler:
         return job
 
     def get(self, job_id: str) -> Optional[JobRuntime]:
-        """The runtime for ``job_id``, or ``None`` if unknown."""
-        return self._jobs.get(job_id)
+        """The runtime for ``job_id``, or ``None`` if unknown; a
+        finished job's is rebuilt from the store on every call."""
+        runtime = self._jobs.get(job_id)
+        if runtime is not None:
+            return runtime
+        try:
+            job = self.store.load(job_id)
+        except StoreError:
+            return None
+        return JobRuntime(job=job, events=self.store.read_events(job_id))
 
     def runtimes(self) -> List[JobRuntime]:
-        """All known job runtimes, oldest submission first."""
+        """The live job runtimes, oldest submission first."""
         return sorted(
             self._jobs.values(),
             key=lambda runtime: (runtime.job.created_at, runtime.job.id),
@@ -219,13 +225,14 @@ class Scheduler:
         Chunks already handed to the pool finish and are discarded;
         running jobs elsewhere are untouched.
         """
-        runtime = self._jobs.get(job_id)
+        runtime = self.get(job_id)
         if runtime is None:
             return None
         if runtime.job.terminal:
             return runtime.job
         self.store.transition(runtime.job, "cancelled")
         self._emit(runtime, {"event": "job-cancelled"})
+        self._maybe_finish(runtime)
         if self._wake is not None:
             self._wake.set()
         return runtime.job
@@ -280,13 +287,8 @@ class Scheduler:
                 self._emit(runtime, {
                     "event": "job-failed", "error": str(error),
                 })
+                self._maybe_finish(runtime)
                 continue
-            try:
-                pickle.dumps(runtime.pump.job)
-            except Exception:
-                # Mirrors the batch engine's in-process fallback: a job
-                # that cannot cross a process boundary runs on threads.
-                runtime.use_threads = True
             self.store.transition(runtime.job, "running")
             self._emit(runtime, {
                 "event": "job-started",
@@ -302,21 +304,12 @@ class Scheduler:
             for _ in range(len(self._rotation)):
                 if self._inflight_total >= self.workers:
                     break
-                job_id = self._rotation[0]
-                self._rotation.rotate(-1)
+                job_id = self._rotation.popleft()
                 runtime = self._jobs.get(job_id)
-                if (
-                    runtime is None
-                    or runtime.job.terminal
-                    or runtime.pump is None
-                ):
-                    if runtime is None or runtime.job.terminal:
-                        try:
-                            self._rotation.remove(job_id)
-                        except ValueError:
-                            pass
-                    continue
-                if runtime.job.state != "running":
+                if runtime is None or runtime.job.terminal:
+                    continue  # leaves the rotation for good
+                self._rotation.append(job_id)
+                if runtime.pump is None or runtime.job.state != "running":
                     continue
                 tenant = runtime.job.tenant
                 if (
@@ -349,9 +342,9 @@ class Scheduler:
                 deadlines.append(max(0.0, ready_at - now))
         return min(deadlines) if deadlines else None
 
-    def _executor_for(self, runtime: JobRuntime):
-        """The executor this job's chunks run on (pool or thread fallback)."""
-        if self.executor_kind == "thread" or runtime.use_threads:
+    def _executor(self):
+        """The executor chunks run on, built on first use."""
+        if self.executor_kind == "thread":
             if self._thread_pool is None:
                 self._thread_pool = ThreadPoolExecutor(
                     max_workers=self.workers,
@@ -376,9 +369,8 @@ class Scheduler:
         pump = runtime.pump
         try:
             try:
-                executor = self._executor_for(runtime)
                 _index, report, stats = await self._loop.run_in_executor(
-                    executor, execute_chunk, pump.job, task.index,
+                    self._executor(), execute_chunk, pump.job, task.index,
                     task.start, task.stop, task.attempt,
                 )
             except asyncio.CancelledError:
@@ -434,10 +426,7 @@ class Scheduler:
         self, runtime: JobRuntime, task: ChunkTask, detail: str
     ) -> None:
         """Emit chunk-retry (budget left) or chunk-failed (permanent)."""
-        pump = runtime.pump
-        permanent = (
-            pump is not None and task.index in pump.failures
-        )
+        permanent = task.index in runtime.pump.failures
         self._emit(runtime, {
             "event": "chunk-failed" if permanent else "chunk-retry",
             "index": task.index,
@@ -446,34 +435,35 @@ class Scheduler:
         })
 
     def _maybe_finish(self, runtime: JobRuntime) -> None:
-        """Finalize a job whose chunks have all settled."""
-        if (
-            runtime.job.state != "running"
-            or runtime.pump is None
-            or runtime.inflight > 0
-            or not runtime.pump.done
-        ):
+        """Finalize a job whose chunks have all settled, and drop a
+        terminal job, pump and all, once no chunk of it occupies a
+        worker: from then on the store is its only record."""
+        if runtime.inflight > 0:
             return
-        try:
-            result = runtime.pump.finalize(mode="service")
-        except (CertificateError, CampaignError) as error:
-            self.store.transition(
-                runtime.job, "failed",
-                error=f"{type(error).__name__}: {error}",
-            )
-            self._emit(runtime, {
-                "event": "job-failed", "error": str(error),
-            })
-            return
-        self.store.save_result(runtime.job, result)
-        self.store.transition(runtime.job, "done")
-        self._emit(runtime, {
-            "event": "job-done",
-            "complete": result.complete,
-            "summary": result.report.summary(),
-            "telemetry": result.telemetry.summary(),
-            "missing": list(result.missing),
-        })
+        if runtime.job.state == "running" and runtime.pump.done:
+            try:
+                result = runtime.pump.finalize(mode="service")
+            except (CertificateError, CampaignError) as error:
+                self.store.transition(
+                    runtime.job, "failed",
+                    error=f"{type(error).__name__}: {error}",
+                )
+                self._emit(runtime, {
+                    "event": "job-failed", "error": str(error),
+                })
+            else:
+                self.store.save_result(runtime.job, result,
+                                       runtime.progress())
+                self.store.transition(runtime.job, "done")
+                self._emit(runtime, {
+                    "event": "job-done",
+                    "complete": result.complete,
+                    "summary": result.report.summary(),
+                    "telemetry": result.telemetry.summary(),
+                    "missing": list(result.missing),
+                })
+        if runtime.job.terminal:
+            self._jobs.pop(runtime.job.id, None)
 
     # ------------------------------------------------------------------
     # Events

@@ -30,10 +30,12 @@ import asyncio
 import base64
 import json
 import os
+import re
 import signal
 import sys
 from typing import Any, Dict, List, Optional
 
+from repro.durable import atomic_write
 from repro.errors import ReproError
 from repro.serve.http import (
     HttpError,
@@ -54,6 +56,9 @@ from repro.serve.store import JobStore
 
 #: Tenant assigned to requests that send no ``X-Api-Key`` header.
 DEFAULT_TENANT = "anonymous"
+
+#: A job id (:meth:`JobStore.create`); anything else 404s before disk.
+_JOB_ID = re.compile(r"[0-9a-f]{12}")
 
 
 class ServeApp:
@@ -80,13 +85,10 @@ class ServeApp:
             self._handle_connection, host=host, port=port
         )
         bound = self._server.sockets[0].getsockname()[1]
-        with open(os.path.join(self.store.root, "server.json"), "w",
-                  encoding="utf-8") as handle:
-            json.dump(
-                {"host": host, "port": bound, "pid": os.getpid()},
-                handle, sort_keys=True,
-            )
-            handle.write("\n")
+        atomic_write(os.path.join(self.store.root, "server.json"), json.dumps(
+            {"host": host, "port": bound, "pid": os.getpid()},
+            sort_keys=True,
+        ) + "\n")
         return bound
 
     async def stop(self) -> None:
@@ -150,7 +152,7 @@ class ServeApp:
             parts = path[len("/jobs/"):].split("/")
             job_id = parts[0]
             tail = parts[1] if len(parts) == 2 else None
-            if len(parts) > 2 or not job_id:
+            if len(parts) > 2 or not _JOB_ID.fullmatch(job_id):
                 raise HttpError(404, f"no such resource: {path}")
             if tail is None and method == "GET":
                 writer.write(self._status(job_id))
@@ -182,7 +184,7 @@ class ServeApp:
                 "max_inflight_chunks": quotas.max_inflight_chunks,
                 "max_active_jobs": quotas.max_active_jobs,
             },
-            "jobs": len(self.scheduler.runtimes()),
+            "jobs": len(self.store.list_jobs()),
         }
 
     def _tenant(self, request: Request) -> str:
@@ -204,12 +206,10 @@ class ServeApp:
     def _list(self, request: Request) -> bytes:
         """GET /jobs — all jobs, optionally one tenant's."""
         tenant = request.query.get("tenant")
-        payloads: List[Dict[str, Any]] = []
-        for runtime in self.scheduler.runtimes():
-            if tenant is not None and runtime.job.tenant != tenant:
-                continue
-            payloads.append(self._job_payload(runtime.job.id))
-        return json_response(200, {"jobs": payloads})
+        return json_response(200, {"jobs": [
+            self._job_payload(job.id) for job in self.store.list_jobs()
+            if tenant is None or job.tenant == tenant
+        ]})
 
     def _runtime(self, job_id: str) -> JobRuntime:
         """The runtime for ``job_id``, or 404."""
@@ -226,7 +226,9 @@ class ServeApp:
         payload["progress"] = runtime.progress()
         payload["events"] = len(runtime.events)
         if job.state == "done":
-            payload["result"] = self.store.load_result(job.id)
+            result = self.store.load_result(job.id)
+            payload["result"] = result
+            payload["progress"] = (result or {}).get("progress", {})
         return payload
 
     def _status(self, job_id: str) -> bytes:

@@ -5,8 +5,8 @@ Every job owns one directory under ``<state>/jobs/<id>/``::
     job.json       # identity + state machine, atomically replaced
     journal.ckpt   # the PR 5 chunk-report checkpoint journal
     events.ndjson  # append-only per-chunk telemetry event log
-    report.pkl     # the finalized merged report (pickle), terminal jobs
-    result.json    # summary / telemetry / missing ranges, terminal jobs
+    report.pkl     # the finalized merged report (pickle), done jobs
+    result.json    # summary / telemetry / progress / missing, done jobs
 
 The state machine is ``queued → running → done | failed | cancelled``.
 ``job.json`` is only ever written via tmp → fsync → ``os.replace`` (the
@@ -238,13 +238,14 @@ class JobStore:
     # ------------------------------------------------------------------
     # Results
 
-    def save_result(self, job: ServeJob, result: Any) -> None:
+    def save_result(self, job: ServeJob, result: Any,
+                    progress: Optional[Dict[str, Any]] = None) -> None:
         """Persist a finished campaign's report and summary.
 
         ``report.pkl`` carries the full report object (the drill
         unpickles it to assert ``==``-identity with an uninterrupted
         run); ``result.json`` carries what the HTTP API serves without
-        unpickling.
+        unpickling, including the job's final chunk ``progress``.
         """
         atomic_write(self.report_path(job.id), pickle.dumps(
             result.report, protocol=pickle.HIGHEST_PROTOCOL,
@@ -256,6 +257,7 @@ class JobStore:
             "telemetry": result.telemetry.summary(),
             "complete": result.complete,
             "missing": list(result.missing),
+            "progress": progress or {},
             "certificates": [
                 {
                     "kind": cert.kind,

@@ -5,16 +5,26 @@ engine's merged report must equal the plain serial harness call
 field-for-field — including ``decisions_histogram`` and
 ``first_violating_seed`` — and even as a byte string (``repr``).  This
 is the evidence that parallelism never changes a scientific result.
+
+The ``TestPump*`` classes rerun the same grid with one more drain: the
+campaign helpers' ``run_campaign`` is replaced by a
+:class:`~repro.campaign.pump.CampaignPump` driven chunk-by-chunk on the
+calling thread, completing chunks in the order it hands them out or in
+reverse, and the merged report must still equal the serial harness.
 """
+
+import functools
 
 import pytest
 
 from repro.analysis.fuzz import fuzz_protocol
 from repro.campaign import (
+    engine,
     fuzz_campaign,
     sweep_protocol_campaign,
     sweep_simulation_campaign,
 )
+from repro.campaign.pump import CampaignPump, execute_chunk
 from repro.core.sweep import sweep_protocol, sweep_simulation
 from repro.protocols import (
     KSetAgreementTask,
@@ -25,6 +35,43 @@ from repro.protocols import (
 )
 
 WORKER_GRID = [1, 2, 4]
+
+
+def drain_pump(job, workers=None, chunk_size=None, *, order,
+               faults=None, **options):
+    """Run a campaign through a pump on this thread.
+
+    ``order="handed"`` completes each chunk as it is handed out;
+    ``order="reversed"`` hands out every ready chunk first and completes
+    them in reverse, so the merge sees out-of-order completions.
+    """
+    assert faults is None
+    pump = CampaignPump(job, workers, chunk_size, **options)
+    while not pump.done:
+        tasks = []
+        while order == "reversed" or not tasks:
+            task = pump.next_chunk()
+            if task is None:
+                break
+            tasks.append(task)
+        assert tasks, "pump stalled with work outstanding"
+        if order == "reversed":
+            tasks.reverse()
+        for task in tasks:
+            _, report, stats = execute_chunk(
+                pump.job, task.index, task.start, task.stop, task.attempt
+            )
+            pump.complete(task, report, stats)
+    result = pump.finalize()
+    assert result.complete
+    return result
+
+
+@pytest.fixture(params=["handed", "reversed"])
+def pump_drain(request, monkeypatch):
+    """Route the campaign helpers through :func:`drain_pump`."""
+    monkeypatch.setattr(engine, "run_campaign",
+                        functools.partial(drain_pump, order=request.param))
 
 
 def assert_reports_identical(parallel, serial):
@@ -133,3 +180,18 @@ class TestFuzzDifferential:
         )
         assert_reports_identical(result.report, serial)
         assert result.report.clean
+
+
+@pytest.mark.usefixtures("pump_drain")
+class TestPumpSweepProtocolDifferential(TestSweepProtocolDifferential):
+    """The sweep-protocol grid, drained through a pump."""
+
+
+@pytest.mark.usefixtures("pump_drain")
+class TestPumpSweepSimulationDifferential(TestSweepSimulationDifferential):
+    """The sweep-simulation grid, drained through a pump."""
+
+
+@pytest.mark.usefixtures("pump_drain")
+class TestPumpFuzzDifferential(TestFuzzDifferential):
+    """The fuzz grid, drained through a pump."""

@@ -1,29 +1,25 @@
 """CampaignPump: chunk-granular execution equals the blocking engine.
 
 The pump is the tentpole seam the service stands on, so the tests here
-are differential: drive a campaign chunk-by-chunk (in order, out of
-order, with failures and retries, across a simulated crash) and demand
-the finalized :class:`~repro.campaign.engine.CampaignResult` match what
-``run_campaign`` produces for the same job.
+are differential: drive a campaign chunk-by-chunk (with failures and
+retries, across a simulated crash) and demand the finalized
+:class:`~repro.campaign.engine.CampaignResult` match what
+``run_campaign`` produces for the same job.  In-order and out-of-order
+drains over the whole differential grid, against the serial harness,
+live in ``test_differential.py``.
 """
 
 import pytest
 
 from repro.campaign import (
     FakeClock,
-    FuzzJob,
     RetryPolicy,
     SweepProtocolJob,
     run_campaign,
 )
 from repro.campaign.pump import CampaignPump, execute_chunk
 from repro.errors import CampaignError
-from repro.protocols import (
-    KSetAgreementTask,
-    MinSeen,
-    RacingConsensus,
-    TruncatedProtocol,
-)
+from repro.protocols import KSetAgreementTask, MinSeen
 
 
 def make_job(seed_count=12):
@@ -44,45 +40,6 @@ def drain(pump):
         assert index == task.index
         pump.complete(task, report, stats)
     return pump.finalize()
-
-
-class TestDifferential:
-    def test_pump_report_identical_to_run_campaign(self):
-        job = make_job()
-        pumped = drain(CampaignPump(job, workers=2, chunk_size=3))
-        blocking = run_campaign(job, workers=2, chunk_size=3)
-        assert pumped.report == blocking.report
-        assert repr(pumped.report) == repr(blocking.report)
-        assert pumped.complete
-
-    def test_out_of_order_completion_is_order_insensitive(self):
-        job = make_job()
-        pump = CampaignPump(job, workers=2, chunk_size=3)
-        tasks = []
-        while True:
-            task = pump.next_chunk()
-            if task is None:
-                break
-            tasks.append(task)
-        # Report completions in reverse dispatch order.
-        for task in reversed(tasks):
-            _, report, stats = execute_chunk(
-                pump.job, task.index, task.start, task.stop
-            )
-            pump.complete(task, report, stats)
-        result = pump.finalize()
-        expected = run_campaign(job, workers=2, chunk_size=3)
-        assert result.report == expected.report
-
-    def test_fuzz_job_pumps_identically(self):
-        job = FuzzJob(
-            protocol=TruncatedProtocol(RacingConsensus(3), 1),
-            inputs=(0, 1, 2), task=KSetAgreementTask(1),
-            runs=30, schedule_length=40, seed=0,
-        )
-        pumped = drain(CampaignPump(job, chunk_size=10))
-        blocking = run_campaign(job, chunk_size=10)
-        assert pumped.report == blocking.report
 
 
 class TestRetries:
