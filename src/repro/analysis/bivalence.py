@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ValidationError
-from repro.protocols.base import DECIDE, SCAN, Protocol
+from repro.errors import ProtocolError, ValidationError
+from repro.protocols.base import DECIDE, RMW, SCAN, Protocol
 
 
 @dataclass
@@ -68,11 +68,22 @@ def initial_configuration(
 def step_configuration(
     protocol: Protocol, config: Configuration, index: int
 ) -> Configuration:
-    """Apply one step of process ``index`` to a configuration (pure)."""
+    """Apply one step of process ``index`` to a configuration (pure).
+
+    Scan and update steps only: a read-modify-write step is a
+    :class:`~repro.errors.ProtocolError` naming the protocol and the
+    operation (valence analysis of RMW protocols is not implemented).
+    """
     states, memory = config
     kind, payload = protocol.poised(states[index])
     if kind == DECIDE:
         raise ValidationError(f"process {index} already decided")
+    if kind == RMW:
+        raise ProtocolError(
+            f"{protocol.name}: process {index} is poised for a "
+            f"read-modify-write step ({payload[1]!r}); valence analysis "
+            "steps scan/update protocols only"
+        )
     if kind == SCAN:
         new_state = protocol.advance(states[index], memory)
         new_memory = memory

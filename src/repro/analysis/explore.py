@@ -46,14 +46,15 @@ measured effect.
 
 Configurations are keyed by a packed encoding: every distinct process
 state and memory value is interned to a small integer in a per-context
-table and each configuration is keyed by a pair of machine-word-packed
-integers (``_SLOT_BITS`` bits per process / component), so interning and
-successor lookups hash and compare ints instead of wide object tuples.
-The encoding is pure key representation: reports equal those of the
-frozen reference explorer byte for byte (enforced by the differential
-suite).  With ``symmetry=True`` the per-unit depth memo is keyed by the
-configuration's *canonical form under process permutation* — the packed
-sorted state-id multiset plus the memory key — so configurations that
+table, and each configuration is keyed by one machine-word-packed
+integer (``_SLOT_BITS`` bits per process, then per memory component),
+so interning and successor lookups hash and compare ints instead of
+wide object tuples.  The encoding is pure key representation: reports
+equal those of the frozen reference explorer byte for byte (enforced by
+the differential suite).  With ``symmetry=True`` the per-unit depth memo
+is keyed by the configuration's *canonical class under process
+permutation*: a small int the context interns per distinct sorted
+state-id multiset plus memory key, so configurations that
 differ only by renaming processes share one memo entry and only one
 representative subtree is expanded.  That is sound exactly when the
 protocol declares :data:`~repro.protocols.base.SYMMETRY_FULL` via
@@ -68,6 +69,7 @@ safe/unsafe verdict and a genuinely replayable counterexample, but visit
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -191,21 +193,22 @@ class _Config:
     """One interned system configuration (hash-consed by the context).
 
     ``sids``/``mids`` are the per-slot interned ids of the process states
-    and memory contents and ``skey``/``mkey`` the corresponding packed
-    integers (children derive theirs from the parent's with one
-    shifted-delta addition per step).  ``decided`` maps decided process
-    indices to their DECIDE payloads in ascending index order;
-    ``undecided`` is the ascending tuple of indices still poised to scan
-    or update.  ``succ`` caches the interned successor per stepped index
-    and ``check_cache`` the task checker's verdict — both pure functions
-    of the configuration given the context's protocol/task, so caching
-    them can never change a report.  ``canon`` lazily caches the
-    canonical key under process permutation used by symmetry-reduced
-    memo tables.
+    and memory contents.  ``key`` packs both into the one integer the
+    context interns by (process slots lowest, then memory components)
+    and ``mkey`` packs the memory ids alone; children derive both from
+    the parent's with one shifted-delta addition per changed slot.
+    ``decided`` maps decided process indices to their DECIDE payloads in
+    ascending index order; ``undecided`` is the ascending tuple of
+    indices still poised to scan or update.  ``succ`` caches the
+    interned successor per stepped index and ``check_cache`` the task
+    checker's verdict — both pure functions of the configuration given
+    the context's protocol/task, so caching them can never change a
+    report.  ``canon`` lazily caches the class
+    :meth:`ExplorationContext.canon_key` interns for the node, the small
+    int the per-unit depth memo is keyed by.
 
     Interning makes identity coincide with configuration equality, so
-    memo tables keyed by ``_Config`` nodes use the default identity hash
-    instead of re-hashing wide state/memory tuples on every lookup.
+    no lookup after the intern step re-hashes wide state/memory tuples.
     ``decided``/``undecided`` may be shared between a parent and a child
     that made no new decision; treat them as immutable.
 
@@ -218,13 +221,13 @@ class _Config:
     """
 
     __slots__ = ("states", "memory", "decided", "undecided", "succ",
-                 "check_cache", "skey", "sids", "mkey", "mids", "canon")
+                 "check_cache", "key", "sids", "mkey", "mids", "canon")
 
     def __init__(
         self,
         decided: Dict[int, Any],
         undecided: Tuple[int, ...],
-        skey: int,
+        key: int,
         sids: Tuple[int, ...],
         mkey: int,
         mids: Tuple[int, ...],
@@ -233,15 +236,17 @@ class _Config:
         self.memory: Optional[Tuple] = None
         self.decided = decided
         self.undecided = undecided
-        # One slot per process; replay steps by decided processes cache
-        # the parent itself, so a list (no key hashing) suffices.
-        self.succ: List[Optional["_Config"]] = [None] * len(sids)
+        # One slot per process, allocated by the first child() call
+        # (most nodes are never expanded); replay steps by decided
+        # processes cache the parent itself, so a list (no key hashing)
+        # suffices.
+        self.succ: Optional[List[Optional["_Config"]]] = None
         self.check_cache: Optional[List[str]] = None
-        self.skey = skey
+        self.key = key
         self.sids = sids
         self.mkey = mkey
         self.mids = mids
-        self.canon: Optional[Tuple[int, int]] = None
+        self.canon: Optional[int] = None
 
 
 class ExplorationContext:
@@ -250,10 +255,15 @@ class ExplorationContext:
     Owns the hot-path caches the explorer, fuzzer, and shrinker share:
 
     - the intern table mapping every distinct process state and memory
-      value to a small slot id, and packed ``(skey, mkey)`` pairs to
+      value to a small slot id, and packed configuration keys to
       :class:`_Config` nodes, each carrying its decided/undecided split
       (maintained incrementally: only the stepped process can change
-      decision status) and a per-index successor cache;
+      decision status) and a per-index successor cache.  A key packs
+      the state ids into the low ``_SLOT_BITS * len(inputs)`` bits and
+      the memory ids above them; every id is below ``_SLOT_LIMIT``, so
+      no slot spills into the next and the key is injective;
+    - the canonical classes of :meth:`canon_key`, numbered in
+      first-seen order;
     - ``protocol.poised`` per slot id, computed once per distinct state
       instead of once per visit;
     - scan/update/RMW successors — ``advance`` results keyed by slot ids:
@@ -304,7 +314,14 @@ class ExplorationContext:
         #: (an RMW reads what it overwrites), so the key carries it:
         #: ``(sid, old mid) -> (new sid, new value mid)``.
         self._rmw_succ: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        self._configs: Dict[Tuple[int, int], _Config] = {}
+        #: Bit offset of the memory ids in a packed configuration key.
+        self._mshift = _SLOT_BITS * len(self.inputs)
+        self._configs: Dict[int, _Config] = {}
+        #: canonical form -> class id under symmetry reduction; without
+        #: it every configuration is its own class, numbered by
+        #: ``_fresh_class`` (see canon_key).
+        self._classes: Dict[Tuple[int, ...], int] = {}
+        self._fresh_class = itertools.count()
         #: state/value -> slot id.  States and memory values share one
         #: table; ids are assigned in first-seen order, so the mapping is
         #: deterministic per traversal order but never observable in a
@@ -381,27 +398,39 @@ class ExplorationContext:
             )
         return memory
 
-    def canon_key(self, config: _Config) -> Tuple[int, int]:
-        """The configuration's canonical key under process permutation:
-        the packed *sorted* state-id tuple plus the memory key.  Two
-        configurations share a canonical key iff one is a process
-        permutation of the other (memory is permutation-invariant —
-        component j is component j for every process).  Cached on the
-        node."""
-        key = config.canon
-        if key is None:
-            key = (_pack(sorted(config.sids)), config.mkey)
-            config.canon = key
-        return key
+    def canon_key(self, config: _Config) -> int:
+        """The configuration's class under the context's symmetry group.
+
+        The class is a small int the context assigns, in first-seen
+        order, per distinct canonical form.  On a symmetry-reducing
+        context the form is the *sorted* state-id tuple plus the memory
+        key, so two configurations share a class iff one is a process
+        permutation of the other (memory is permutation-invariant:
+        component j is component j for every process); otherwise every
+        configuration is its own class.
+        Cached on the node as ``config.canon``, so depth memo tables
+        hash one small int per lookup.
+        """
+        canon = config.canon
+        if canon is None:
+            if self.symmetry:
+                form = (*sorted(config.sids), config.mkey)
+                classes = self._classes
+                canon = classes.get(form)
+                if canon is None:
+                    canon = classes[form] = len(classes)
+            else:
+                canon = next(self._fresh_class)
+            config.canon = canon
+        return canon
 
     def _intern_scan(self, states: Tuple, memory: Tuple) -> _Config:
         """Intern a configuration, deriving the decided split by full scan
         (used only for roots; children derive it incrementally)."""
         sids = tuple(self._id(state) for state in states)
         mids = tuple(self._id(value) for value in memory)
-        skey = _pack(sids)
         mkey = _pack(mids)
-        key = (skey, mkey)
+        key = _pack(sids) | (mkey << self._mshift)
         config = self._configs.get(key)
         if config is None:
             decided: Dict[int, Any] = {}
@@ -413,7 +442,7 @@ class ExplorationContext:
                 else:
                     undecided.append(index)
             config = _Config(
-                decided, tuple(undecided), skey, sids, mkey, mids
+                decided, tuple(undecided), key, sids, mkey, mids
             )
             self._configs[key] = config
         return config
@@ -431,13 +460,17 @@ class ExplorationContext:
         int-keyed dict gets, and one shifted-delta addition per step)
         without hashing or allocating any wide tuple.
         """
-        cached = parent.succ[index]
-        if cached is not None:
-            return cached
+        succ = parent.succ
+        if succ is None:
+            succ = parent.succ = [None] * len(parent.sids)
+        else:
+            cached = succ[index]
+            if cached is not None:
+                return cached
         sid = parent.sids[index]
         kind, payload = self._poised_ids[sid] or self._poised_by_id(sid)
         if kind == DECIDE:
-            parent.succ[index] = parent
+            succ[index] = parent
             return parent
         mkey = parent.mkey
         mids = parent.mids
@@ -453,6 +486,7 @@ class ExplorationContext:
                     self._values[sid], self.memory_of(parent)
                 ))
                 by_memory[mkey] = new_sid
+            new_mid = old_mid = 0
         elif kind == RMW:
             component, op, args = payload
             old_mid = mids[component]
@@ -469,13 +503,6 @@ class ExplorationContext:
                 )
                 self._rmw_succ[(sid, old_mid)] = entry
             new_sid, new_mid = entry
-            if new_mid != old_mid:
-                mkey = mkey + (
-                    (new_mid - old_mid) << (component * _SLOT_BITS)
-                )
-                mids = (
-                    mids[:component] + (new_mid,) + mids[component + 1:]
-                )
         else:
             entry = self._update_succ.get(sid)
             if entry is None:
@@ -487,15 +514,12 @@ class ExplorationContext:
                 self._update_succ[sid] = entry
             new_sid, component, new_mid = entry
             old_mid = mids[component]
-            if new_mid != old_mid:
-                mkey = mkey + (
-                    (new_mid - old_mid) << (component * _SLOT_BITS)
-                )
-                mids = (
-                    mids[:component] + (new_mid,) + mids[component + 1:]
-                )
-        skey = parent.skey + ((new_sid - sid) << (index * _SLOT_BITS))
-        key = (skey, mkey)
+        key = parent.key + ((new_sid - sid) << (index * _SLOT_BITS))
+        if new_mid != old_mid:
+            shift = component * _SLOT_BITS
+            mkey += (new_mid - old_mid) << shift
+            key += (new_mid - old_mid) << (shift + self._mshift)
+            mids = mids[:component] + (new_mid,) + mids[component + 1:]
         config = self._configs.get(key)
         if config is None:
             new_kind, new_payload = (
@@ -515,9 +539,9 @@ class ExplorationContext:
             sids = (
                 parent.sids[:index] + (new_sid,) + parent.sids[index + 1:]
             )
-            config = _Config(decided, undecided, skey, sids, mkey, mids)
+            config = _Config(decided, undecided, key, sids, mkey, mids)
             self._configs[key] = config
-        parent.succ[index] = config
+        succ[index] = config
         return config
 
     def replay(self, schedule: Sequence[int]) -> _Config:
@@ -690,14 +714,16 @@ def _explore_unit(
     frontier reaches below the prefix.  ``best_depth`` memoizes the
     minimum depth each configuration was expanded at; a strictly
     shallower arrival re-expands (the depth-bound soundness fix), a
-    deeper or equal one is pruned.  The memo is keyed by interned
-    :class:`_Config` nodes (identity hash) and is per-unit — only the
-    context's pure transition caches persist across units.
+    deeper or equal one is pruned.  The memo is keyed by the small-int
+    class :meth:`ExplorationContext.canon_key` interns per configuration
+    and is per-unit — only the context's pure transition caches persist
+    across units.
 
-    On a symmetry-reducing context the memo is keyed by
-    :meth:`ExplorationContext.canon_key` instead, so an arrival at any
-    process permutation of an already-expanded configuration is pruned
-    the same way a repeat arrival is: the permuted subtree is isomorphic
+    Without symmetry reduction each configuration is its own class.  On
+    a symmetry-reducing context the class is the canonical form under
+    process permutation, so an arrival at any process permutation of an
+    already-expanded configuration is pruned the same way a repeat
+    arrival is: the permuted subtree is isomorphic
     (full symmetry: transitions depend only on the state) and its task
     verdicts hold the same decided-value multiset, so a violation exists
     below one iff it exists below the other.  Budgets, counts, and
@@ -705,8 +731,7 @@ def _explore_unit(
     configurations — that is the reduction.
     """
     report = ExplorationReport()
-    best_depth: Dict[Any, int] = {}
-    symmetric = ctx.symmetry
+    best_depth: Dict[int, int] = {}
     canon_key = ctx.canon_key
 
     # Pass 1: walk the prefix, recording the path and whether each step
@@ -729,7 +754,7 @@ def _explore_unit(
     # owned interior ones (in path order, same count/check/budget
     # sequence as the frontier loop below).
     for depth, p_config in enumerate(path):
-        memo_key = canon_key(p_config) if symmetric else p_config
+        memo_key = canon_key(p_config)
         if memo_key in best_depth:
             continue
         best_depth[memo_key] = depth
@@ -753,42 +778,47 @@ def _explore_unit(
     # the historical traversal order, kept for comparable truncation
     # behaviour (the *report* no longer depends on it).  Schedules are
     # parent-pointer tails rooted at the prefix, not per-node copies.
-    frontier: List[Tuple[_Config, int, Optional[Tuple]]] = [
-        (config, len(prefix), None)
+    # Frontier entries carry their memo key, so a node's canonical class
+    # is read once, at push time; the tallies live in locals and are
+    # written back after the loop.
+    frontier: List[Tuple[_Config, int, int, Optional[Tuple]]] = [
+        (config, canon_key(config), len(prefix), None)
     ]
     child = ctx.child
     best_get = best_depth.get
+    unexpanded = (None,) * len(ctx.inputs)
+    configurations = report.configurations
+    fully_decided = report.fully_decided
     while frontier:
-        config, depth, tail = frontier.pop()
-        memo_key = canon_key(config) if symmetric else config
+        config, memo_key, depth, tail = frontier.pop()
         prior = best_get(memo_key)
         if prior is not None and depth >= prior:
             continue
-        first_visit = prior is None
         best_depth[memo_key] = depth
-        if first_visit:
-            report.configurations += 1
+        if prior is None:
+            configurations += 1
 
-        if config.decided:
-            stop = _check_node(
+        # A cached verdict of [] is the common decided case: no call.
+        if config.decided and config.check_cache != []:
+            if _check_node(
                 report, ctx, config, prefix, tail, stop_at_first_violation
-            )
-            if stop:
+            ):
                 break
         undecided = config.undecided
-        all_decided = not undecided
-        if all_decided and first_visit:
-            report.fully_decided += 1
-        if report.configurations >= max_configs:
+        if not undecided and prior is None:
+            fully_decided += 1
+        if configurations >= max_configs:
             report.truncated = True
             break
-        if all_decided:
+        if not undecided:
             continue
         if max_steps is not None and depth >= max_steps:
             report.truncated = True
             continue
 
-        succ = config.succ
+        # A node never expanded has no successor list yet; child()
+        # allocates it on the first miss.
+        succ = config.succ or unexpanded
         next_depth = depth + 1
         for index in undecided:
             # Inlined successor-cache hit: after the first expansion of
@@ -797,14 +827,19 @@ def _explore_unit(
             nxt = succ[index]
             if nxt is None:
                 nxt = child(config, index)
+            key = nxt.canon
+            if key is None:
+                key = canon_key(nxt)
             # Push-time pruning: best_depth only ever decreases, so a
             # child already expanded this shallow (or shallower) would
             # be discarded at pop time anyway — dropping it here skips
             # the frontier churn without changing any report field.
-            prior = best_get(canon_key(nxt) if symmetric else nxt)
+            prior = best_get(key)
             if prior is not None and next_depth >= prior:
                 continue
-            frontier.append((nxt, next_depth, (tail, index)))
+            frontier.append((nxt, key, next_depth, (tail, index)))
+    report.configurations = configurations
+    report.fully_decided = fully_decided
     report.violations.sort()
     return report
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from typing import Any, Sequence, Tuple
 
-from repro.errors import ValidationError
+from repro.errors import ProtocolError, ValidationError
 from repro.memory.afek import AfekMWSnapshot
-from repro.protocols.base import DECIDE, SCAN, DECISION_TAG, Protocol
+from repro.protocols.base import DECIDE, DECISION_TAG, RMW, SCAN, Protocol
 from repro.runtime.events import Annotate
 from repro.runtime.process import Process
 from repro.runtime.scheduler import Scheduler
@@ -52,6 +52,12 @@ def register_protocol_body(
             if kind == SCAN:
                 view = yield from snapshot.scan(proc.pid)
                 state = protocol.advance(state, view)
+            elif kind == RMW:
+                raise ProtocolError(
+                    f"{protocol.name}: process {index} is poised for a "
+                    f"read-modify-write step ({payload[1]!r}); a snapshot "
+                    "built from read/write registers cannot implement it"
+                )
             else:
                 component, written = payload
                 yield from snapshot.update(proc.pid, component, written)

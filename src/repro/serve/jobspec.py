@@ -25,7 +25,7 @@ layer maps to 400.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional
 
 from repro.errors import ReproError
@@ -120,8 +120,12 @@ class JobSpec:
                 )
 
     def to_dict(self) -> Dict[str, Any]:
-        """The spec as a JSON-ready dict (the persisted wire form)."""
-        return asdict(self)
+        """The spec as a JSON-ready dict (the persisted wire form).
+
+        Every field holds a str, int, bool or None, so a shallow copy
+        of the fields, in declaration order, is the whole wire form.
+        """
+        return dict(vars(self))
 
     @staticmethod
     def from_dict(data: Any) -> "JobSpec":
@@ -136,8 +140,7 @@ class JobSpec:
                 f"job spec must be a JSON object, got "
                 f"{type(data).__name__}"
             )
-        known = {spec_field.name for spec_field in fields(JobSpec)}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(data.keys() - _FIELD_NAMES)
         if unknown:
             raise JobSpecError(
                 f"unknown job spec key(s): {', '.join(unknown)}"
@@ -145,30 +148,32 @@ class JobSpec:
         if "experiment" not in data:
             raise JobSpecError("job spec needs an \"experiment\" key")
         checked: Dict[str, Any] = {}
-        for spec_field in fields(JobSpec):
-            if spec_field.name not in data:
+        for name in _FIELD_NAMES:
+            if name not in data:
                 continue
-            value = data[spec_field.name]
-            if spec_field.name in ("symmetry", "verify_certificates"):
+            value = data[name]
+            if name in ("symmetry", "verify_certificates"):
                 if not isinstance(value, bool):
                     raise JobSpecError(
-                        f"{spec_field.name} must be a boolean, got "
-                        f"{value!r}"
+                        f"{name} must be a boolean, got {value!r}"
                     )
-            elif spec_field.name in ("experiment", "protocol", "scenario"):
+            elif name in ("experiment", "protocol", "scenario"):
                 if not isinstance(value, str):
                     raise JobSpecError(
-                        f"{spec_field.name} must be a string, got "
-                        f"{value!r}"
+                        f"{name} must be a string, got {value!r}"
                     )
             elif value is not None and (
                 isinstance(value, bool) or not isinstance(value, int)
             ):
                 raise JobSpecError(
-                    f"{spec_field.name} must be an integer, got {value!r}"
+                    f"{name} must be an integer, got {value!r}"
                 )
-            checked[spec_field.name] = value
+            checked[name] = value
         return JobSpec(**checked)
+
+
+#: The spec's keys in declaration order (read once, not per parse).
+_FIELD_NAMES = tuple(spec_field.name for spec_field in fields(JobSpec))
 
 
 def build_job(spec: JobSpec):

@@ -197,6 +197,11 @@ class Scheduler:
             self._wake.set()
         return job
 
+    def live(self, job_id: str) -> Optional[JobRuntime]:
+        """The runtime of a live job (queued, running, or terminal with
+        a chunk still on a worker), or ``None``; never reads the store."""
+        return self._jobs.get(job_id)
+
     def get(self, job_id: str) -> Optional[JobRuntime]:
         """The runtime for ``job_id``, or ``None`` if unknown; a
         finished job's is rebuilt from the store on every call."""
@@ -452,8 +457,10 @@ class Scheduler:
                     "event": "job-failed", "error": str(error),
                 })
             else:
+                # The job-done event emitted below is the job's last.
                 self.store.save_result(runtime.job, result,
-                                       runtime.progress())
+                                       runtime.progress(),
+                                       events=len(runtime.events) + 1)
                 self.store.transition(runtime.job, "done")
                 self._emit(runtime, {
                     "event": "job-done",

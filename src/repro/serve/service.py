@@ -52,7 +52,7 @@ from repro.serve.scheduler import (
     Scheduler,
     TenantQuotas,
 )
-from repro.serve.store import JobStore
+from repro.serve.store import JobStore, ServeJob, StoreError
 
 #: Tenant assigned to requests that send no ``X-Api-Key`` header.
 DEFAULT_TENANT = "anonymous"
@@ -184,7 +184,7 @@ class ServeApp:
                 "max_inflight_chunks": quotas.max_inflight_chunks,
                 "max_active_jobs": quotas.max_active_jobs,
             },
-            "jobs": len(self.store.list_jobs()),
+            "jobs": self.store.count_jobs(),
         }
 
     def _tenant(self, request: Request) -> str:
@@ -207,7 +207,7 @@ class ServeApp:
         """GET /jobs — all jobs, optionally one tenant's."""
         tenant = request.query.get("tenant")
         return json_response(200, {"jobs": [
-            self._job_payload(job.id) for job in self.store.list_jobs()
+            self._job_payload(job.id, job) for job in self.store.list_jobs()
             if tenant is None or job.tenant == tenant
         ]})
 
@@ -218,17 +218,43 @@ class ServeApp:
             raise HttpError(404, f"no such job: {job_id}")
         return runtime
 
-    def _job_payload(self, job_id: str) -> Dict[str, Any]:
-        """The status object served for one job."""
-        runtime = self._runtime(job_id)
-        job = runtime.job
+    def _stored(self, job_id: str) -> ServeJob:
+        """A job's store record (its event log unread), or 404."""
+        try:
+            return self.store.load(job_id)
+        except StoreError:
+            raise HttpError(404, f"no such job: {job_id}") from None
+
+    def _job_payload(
+        self, job_id: str, job: Optional[ServeJob] = None
+    ) -> Dict[str, Any]:
+        """The status object served for one job.
+
+        A live job's comes from its runtime.  A finished job's comes
+        from its store record (``job``, when the caller already loaded
+        it) plus, once done, ``result.json``, which holds its final
+        progress and event count; only a failed or cancelled job's
+        event log is read, to count it.
+        """
+        runtime = self.scheduler.live(job_id)
+        if runtime is not None:
+            payload = runtime.job.to_dict()
+            payload["progress"] = runtime.progress()
+            payload["events"] = len(runtime.events)
+            return payload
+        if job is None:
+            job = self._stored(job_id)
         payload = job.to_dict()
-        payload["progress"] = runtime.progress()
-        payload["events"] = len(runtime.events)
+        payload["progress"] = {}
+        events = None
         if job.state == "done":
-            result = self.store.load_result(job.id)
+            result = self.store.load_result(job_id)
             payload["result"] = result
             payload["progress"] = (result or {}).get("progress", {})
+            events = (result or {}).get("events")
+        if events is None:
+            events = len(self.store.read_events(job_id))
+        payload["events"] = events
         return payload
 
     def _status(self, job_id: str) -> bytes:
@@ -237,11 +263,12 @@ class ServeApp:
 
     def _report(self, job_id: str, request: Request) -> bytes:
         """GET /jobs/<id>/report — summary plus the report pickle."""
-        runtime = self._runtime(job_id)
-        if runtime.job.state != "done":
+        runtime = self.scheduler.live(job_id)
+        job = runtime.job if runtime is not None else self._stored(job_id)
+        if job.state != "done":
             raise HttpError(
                 409,
-                f"job {job_id} is {runtime.job.state}; the report is "
+                f"job {job_id} is {job.state}; the report is "
                 f"only available once it is done",
             )
         result = self.store.load_result(job_id)

@@ -6,7 +6,8 @@ Every job owns one directory under ``<state>/jobs/<id>/``::
     journal.ckpt   # the PR 5 chunk-report checkpoint journal
     events.ndjson  # append-only per-chunk telemetry event log
     report.pkl     # the finalized merged report (pickle), done jobs
-    result.json    # summary / telemetry / progress / missing, done jobs
+    result.json    # summary / telemetry / progress / missing / event
+                   # count, done jobs
 
 The state machine is ``queued → running → done | failed | cancelled``.
 ``job.json`` is only ever written via tmp → fsync → ``os.replace`` (the
@@ -181,8 +182,8 @@ class JobStore:
         """Read one job back from disk."""
         path = os.path.join(self.job_dir(job_id), "job.json")
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return ServeJob.from_dict(json.load(handle))
+            with open(path, "rb") as handle:
+                return ServeJob.from_dict(json.loads(handle.read()))
         except (OSError, ValueError, KeyError, JobSpecError) as exc:
             raise StoreError(
                 f"cannot read job {job_id!r}: {exc}"
@@ -202,6 +203,13 @@ class JobStore:
                 continue
         jobs.sort(key=lambda job: (job.created_at, job.id))
         return jobs
+
+    def count_jobs(self) -> int:
+        """The number of job directories, none of them parsed."""
+        try:
+            return len(os.listdir(self.jobs_dir))
+        except OSError:
+            return 0
 
     def recoverable(self) -> List[ServeJob]:
         """Jobs interrupted by a crash: still queued or running on disk."""
@@ -239,13 +247,16 @@ class JobStore:
     # Results
 
     def save_result(self, job: ServeJob, result: Any,
-                    progress: Optional[Dict[str, Any]] = None) -> None:
+                    progress: Optional[Dict[str, Any]] = None,
+                    events: Optional[int] = None) -> None:
         """Persist a finished campaign's report and summary.
 
         ``report.pkl`` carries the full report object (the drill
         unpickles it to assert ``==``-identity with an uninterrupted
         run); ``result.json`` carries what the HTTP API serves without
-        unpickling, including the job's final chunk ``progress``.
+        unpickling, including the job's final chunk ``progress`` and
+        the length of its finished event log (``events``), so a status
+        read never parses ``events.ndjson``.
         """
         atomic_write(self.report_path(job.id), pickle.dumps(
             result.report, protocol=pickle.HIGHEST_PROTOCOL,
@@ -258,6 +269,7 @@ class JobStore:
             "complete": result.complete,
             "missing": list(result.missing),
             "progress": progress or {},
+            "events": events,
             "certificates": [
                 {
                     "kind": cert.kind,
@@ -272,9 +284,8 @@ class JobStore:
     def load_result(self, job_id: str) -> Optional[Dict[str, Any]]:
         """The persisted result summary, or ``None`` if absent."""
         try:
-            with open(self.result_path(job_id), "r",
-                      encoding="utf-8") as handle:
-                return json.load(handle)
+            with open(self.result_path(job_id), "rb") as handle:
+                return json.loads(handle.read())
         except (OSError, ValueError):
             return None
 

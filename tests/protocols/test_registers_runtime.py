@@ -3,14 +3,17 @@
 import pytest
 
 from repro.core import run_simulation
-from repro.errors import ValidationError
+from repro.errors import ProtocolError, ValidationError
 from repro.augmented import AugmentedSnapshot
 from repro.augmented.linearization import extract_operations
 from repro.protocols import (
+    CASConsensus,
     KSetAgreementTask,
     MinSeen,
     RacingConsensus,
     RotatingWrites,
+    SwapConsensus,
+    TASConsensus,
     TruncatedProtocol,
 )
 from repro.protocols.registers_runtime import run_protocol_on_registers
@@ -55,6 +58,26 @@ class TestProtocolOnRegisters:
             run_protocol_on_registers(
                 MinSeen(1), [1, 2], RoundRobinScheduler()
             )
+
+
+    @pytest.mark.parametrize("protocol, operation", [
+        (SwapConsensus(2), "swap"),
+        (CASConsensus(2), "compare_and_swap"),
+        (TASConsensus(2), "test_and_set"),
+    ])
+    def test_rmw_protocol_is_a_named_protocol_error(
+        self, protocol, operation
+    ):
+        """Registers cannot implement a read-modify-write step; the
+        error says so, naming the protocol and the operation."""
+        with pytest.raises(ProtocolError) as excinfo:
+            run_protocol_on_registers(
+                protocol, [0, 1], RoundRobinScheduler()
+            )
+        message = str(excinfo.value)
+        assert message.startswith(f"{protocol.name}: ")
+        assert repr(operation) in message
+        assert "read/write registers cannot implement it" in message
 
 
 class TestRegisterLevelAugmented:

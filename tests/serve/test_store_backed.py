@@ -17,8 +17,9 @@ import pytest
 
 from repro.campaign.pump import CampaignPump
 from repro.protocols.scenarios import SCENARIOS, SWEEPS
-from repro.serve import JobStore, Scheduler, ServeJob
+from repro.serve import JobStore, Scheduler, ServeApp, ServeJob
 from repro.serve import scheduler as scheduler_module
+from repro.serve.http import Request
 from repro.serve.jobspec import EXPERIMENTS, JobSpec, build_job
 from tests.serve.conftest import call, running_app, wait_state
 
@@ -165,6 +166,76 @@ class TestRestartIdentity:
         assert progress["completed_chunks"] == progress["total_chunks"] == 2
         assert progress["completed_units"] == 4
         assert before[1][-1]["event"] == "job-done"
+
+
+class TestFinishedReads:
+    def test_done_status_counts_events_without_reading_them(
+        self, tmp_path, monkeypatch
+    ):
+        """A done job's event count comes from ``result.json``; it equals
+        the length of the event stream, in its status and its listing,
+        and neither those nor its report parse the event log."""
+        async def scenario():
+            async with running_app(tmp_path) as (_app, client):
+                job_id = (await call(client.submit, SMALL_SPEC))["id"]
+                await wait_state(client, job_id, ("done",))
+                events = await call(
+                    lambda: list(client.events(job_id, follow=False))
+                )
+                reads = []
+                real_read = JobStore.read_events
+                monkeypatch.setattr(
+                    JobStore, "read_events",
+                    lambda self, job: reads.append(job) or real_read(
+                        self, job
+                    ),
+                )
+                status = await call(client.status, job_id)
+                listed = await call(client.list_jobs)
+                await call(client.result, job_id, True)
+                return events, status, listed, reads
+
+        events, status, listed, reads = asyncio.run(scenario())
+        assert reads == []
+        assert status["events"] == status["result"]["events"] == len(events)
+        assert listed == [status]
+
+    def test_list_and_health_read_no_event_log(self, tmp_path, monkeypatch):
+        """Over 1,000 finished jobs, ``GET /jobs`` parses no event log and
+        ``/healthz`` parses no job record."""
+        store = JobStore(str(tmp_path))
+        spec = JobSpec.from_dict(SMALL_SPEC)
+        for index in range(1000):
+            job = ServeJob(id=f"{index:012x}", tenant="alice", spec=spec,
+                           state="done")
+            os.makedirs(store.job_dir(job.id))
+            with open(os.path.join(store.job_dir(job.id), "job.json"),
+                      "w", encoding="utf-8") as handle:
+                json.dump(job.to_dict(), handle)
+            with open(store.result_path(job.id), "w",
+                      encoding="utf-8") as handle:
+                json.dump({"events": 5, "progress": {"total_chunks": 2}},
+                          handle)
+        touched = []
+        for name in ("load", "read_events"):
+            real = getattr(JobStore, name)
+
+            def spy(self, job_id, _real=real, _name=name):
+                touched.append(_name)
+                return _real(self, job_id)
+
+            monkeypatch.setattr(JobStore, name, spy)
+        app = ServeApp(store, Scheduler(store, workers=1, executor="thread"))
+
+        assert app._health()["jobs"] == 1000
+        assert touched == []
+        listed = json.loads(app._list(Request("GET", "/jobs")).split(
+            b"\r\n\r\n", 1
+        )[1])["jobs"]
+        assert touched == ["load"] * 1000
+        assert len(listed) == 1000
+        assert {job["events"] for job in listed} == {5}
+        assert {job["progress"]["total_chunks"] for job in listed} == {2}
 
 
 class TestUrlJobIds:
