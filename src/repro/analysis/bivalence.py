@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ProtocolError, ValidationError
-from repro.protocols.base import DECIDE, RMW, SCAN, Protocol
+from repro.errors import ValidationError
+from repro.protocols.base import DECIDE, Protocol, apply_step
 
 
 @dataclass
@@ -70,27 +70,10 @@ def step_configuration(
 ) -> Configuration:
     """Apply one step of process ``index`` to a configuration (pure).
 
-    Scan and update steps only: a read-modify-write step is a
-    :class:`~repro.errors.ProtocolError` naming the protocol and the
-    operation (valence analysis of RMW protocols is not implemented).
+    This is :func:`~repro.protocols.base.apply_step` on its state and M.
     """
     states, memory = config
-    kind, payload = protocol.poised(states[index])
-    if kind == DECIDE:
-        raise ValidationError(f"process {index} already decided")
-    if kind == RMW:
-        raise ProtocolError(
-            f"{protocol.name}: process {index} is poised for a "
-            f"read-modify-write step ({payload[1]!r}); valence analysis "
-            "steps scan/update protocols only"
-        )
-    if kind == SCAN:
-        new_state = protocol.advance(states[index], memory)
-        new_memory = memory
-    else:
-        component, value = payload
-        new_state = protocol.advance(states[index], None)
-        new_memory = memory[:component] + (value,) + memory[component + 1:]
+    new_state, new_memory, _step = apply_step(protocol, states[index], memory)
     return states[:index] + (new_state,) + states[index + 1:], new_memory
 
 

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
-from repro.memory.rmw import apply_rmw
-from repro.protocols.base import DECIDE, RMW, SCAN, UPDATE, Protocol
+from repro.protocols.base import DECIDE, SCAN, Protocol, apply_step
 
 
 @dataclass
@@ -99,7 +98,7 @@ def build_covering(
             f"cannot cover {target} components: protocol uses m={protocol.m}"
         )
     report = CoveringReport()
-    memory: List[Any] = [None] * protocol.m
+    memory: Tuple[Any, ...] = (None,) * protocol.m
     for index, value in enumerate(inputs):
         if report.size >= target:
             break
@@ -111,33 +110,17 @@ def build_covering(
             if kind == DECIDE:
                 report.blocked[index] = f"decided {payload!r} before covering"
                 break
-            if kind == SCAN:
-                log.append((SCAN,))
-                state = protocol.advance(state, tuple(memory))
-            elif kind == RMW:
-                # An RMW covers its component like an update does; the
-                # withheld value is the one determined by the contents
-                # at freeze time (for swap and test-and-set it is
-                # contents-independent anyway).
-                component, op, args = payload
-                new_value, result = apply_rmw(op, memory[component], args)
-                if component not in report.covered:
-                    report.covered[component] = index
-                    report.poised_values[index] = (component, new_value)
-                    break  # freeze here: the write is withheld
-                log.append((RMW, component, op, tuple(args)))
-                memory[component] = new_value
-                state = protocol.advance(state, result)
-            else:
-                component, written = payload
-                if component not in report.covered:
-                    report.covered[component] = index
-                    report.poised_values[index] = (component, written)
-                    break  # freeze here: the write is withheld
-                # Covered already: let the write land and keep going.
-                log.append((UPDATE, component, written))
-                memory[component] = written
-                state = protocol.advance(state, None)
+            new_state, new_memory, step = apply_step(protocol, state, memory)
+            if kind != SCAN and step[1] not in report.covered:
+                # A write to a fresh component: freeze here, withholding
+                # it (an RMW's withheld value is the one the contents
+                # determine at freeze time).
+                report.covered[step[1]] = index
+                report.poised_values[index] = (step[1], new_memory[step[1]])
+                break
+            # A scan, or a write to a covered component: it lands.
+            log.append((SCAN,) if kind == SCAN else step[:4])
+            state, memory = new_state, new_memory
             steps += 1
         else:
             report.blocked[index] = (
@@ -145,7 +128,7 @@ def build_covering(
             )
         report.executions[index] = tuple(log)
         report.steps_used += steps
-    report.memory = tuple(memory)
+    report.memory = memory
     if certificates:
         from repro.certify.emit import covering_certificate
 

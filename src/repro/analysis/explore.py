@@ -82,6 +82,7 @@ from repro.protocols.base import (
     SYMMETRY_FULL,
     SYMMETRY_IDENTITY,
     Protocol,
+    check_schedule,
     solo_run,
 )
 
@@ -981,12 +982,7 @@ def check_obstruction_freedom(
     violations = []
     ctx = ExplorationContext(protocol, inputs)
     for schedule in sample_schedules:
-        for position, index in enumerate(schedule):
-            if not 0 <= index < len(inputs):
-                raise ValidationError(
-                    f"{protocol.name}: schedule entry {index} at position "
-                    f"{position} out of range for {len(inputs)} processes"
-                )
+        check_schedule(protocol, len(inputs), schedule)
         config = ctx.replay(schedule)
         for index in range(len(inputs)):
             if index in config.decided:

@@ -19,11 +19,18 @@ Two subtleties the reports surface:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Set
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.memory.rmw import apply_rmw
-from repro.protocols.base import DECIDE, RMW, SCAN, Protocol
+from repro.protocols.base import (
+    DECIDE,
+    RMW,
+    SCAN,
+    Protocol,
+    apply_step,
+    check_schedule,
+)
 from repro.runtime.system import System
 
 
@@ -47,33 +54,45 @@ class SpaceReport:
         return sum(self.per_run) / len(self.per_run) if self.per_run else 0.0
 
 
+def replay_steps(
+    protocol: Protocol,
+    inputs: Sequence[Any],
+    schedule: Sequence[int],
+    on_step: Optional[Callable[[Tuple], Any]] = None,
+) -> Tuple[Tuple, Tuple]:
+    """Replay ``schedule`` from the initial configuration.
+
+    Returns the final ``(states, memory)``.  Each entry takes one
+    :func:`~repro.protocols.base.apply_step` of its process and hands the
+    step record to ``on_step``; steps by decided processes are no-ops,
+    matching replay semantics everywhere else.  An entry outside
+    ``range(len(inputs))`` is a :class:`~repro.errors.ValidationError`
+    naming it and its position.
+    """
+    check_schedule(protocol, len(inputs), schedule)
+    states = [protocol.initial_state(i, v) for i, v in enumerate(inputs)]
+    memory: Tuple = (None,) * protocol.m
+    for index in schedule:
+        if protocol.poised(states[index])[0] == DECIDE:
+            continue
+        states[index], memory, step = apply_step(
+            protocol, states[index], memory
+        )
+        if on_step is not None:
+            on_step(step)
+    return tuple(states), memory
+
+
 def components_written(
     protocol: Protocol, inputs: Sequence[Any], schedule: Sequence[int]
 ) -> Set[int]:
-    """The set of components written when replaying ``schedule``."""
-    states = [protocol.initial_state(i, v) for i, v in enumerate(inputs)]
-    memory: List[Any] = [None] * protocol.m
-    written: Set[int] = set()
-    for index in schedule:
-        kind, payload = protocol.poised(states[index])
-        if kind == DECIDE:
-            continue
-        if kind == SCAN:
-            states[index] = protocol.advance(states[index], tuple(memory))
-        elif kind == RMW:
-            # An RMW writes its component, so it counts against the
-            # space measure exactly like an update.
-            component, op, args = payload
-            new_value, result = apply_rmw(op, memory[component], args)
-            written.add(component)
-            memory[component] = new_value
-            states[index] = protocol.advance(states[index], result)
-        else:
-            component, value = payload
-            written.add(component)
-            memory[component] = value
-            states[index] = protocol.advance(states[index], None)
-    return written
+    """The set of components written when replaying ``schedule``.
+
+    An RMW writes its component, so it counts like an update.
+    """
+    steps: List[Tuple] = []
+    replay_steps(protocol, inputs, schedule, steps.append)
+    return {step[1] for step in steps if step[0] != SCAN}
 
 
 def base_object_profile(
@@ -84,31 +103,13 @@ def base_object_profile(
     The space falsifier's companion measure for the multi-primitive
     substrate: how many scan, update, and read-modify-write steps (the
     latter split per operation — ``swap`` / ``test_and_set`` /
-    ``compare_and_swap``) the schedule performs.  Steps by decided
-    processes are no-ops, matching replay semantics everywhere else.
+    ``compare_and_swap``) the schedule performs.
     """
-    states = [protocol.initial_state(i, v) for i, v in enumerate(inputs)]
-    memory: List[Any] = [None] * protocol.m
-    profile: Dict[str, int] = {}
-    for index in schedule:
-        kind, payload = protocol.poised(states[index])
-        if kind == DECIDE:
-            continue
-        if kind == SCAN:
-            profile["scan"] = profile.get("scan", 0) + 1
-            states[index] = protocol.advance(states[index], tuple(memory))
-        elif kind == RMW:
-            component, op, args = payload
-            new_value, result = apply_rmw(op, memory[component], args)
-            profile[op] = profile.get(op, 0) + 1
-            memory[component] = new_value
-            states[index] = protocol.advance(states[index], result)
-        else:
-            component, value = payload
-            profile["update"] = profile.get("update", 0) + 1
-            memory[component] = value
-            states[index] = protocol.advance(states[index], None)
-    return profile
+    steps: List[Tuple] = []
+    replay_steps(protocol, inputs, schedule, steps.append)
+    return dict(Counter(
+        step[2] if step[0] == RMW else step[0] for step in steps
+    ))
 
 
 def measure_protocol_space(

@@ -36,7 +36,7 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.errors import ModelError, ValidationError
 from repro.memory.snapshot import SingleWriterSnapshot
-from repro.protocols.base import DECIDE, UPDATE, Protocol
+from repro.protocols.base import DECIDE, SCAN, Protocol, poised_update
 from repro.runtime.events import Annotate, Invoke
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.system import ExecutionResult, System
@@ -211,8 +211,10 @@ class BGSimulation:
                             )
                         progressed = True
                         continue
-                    if kind == UPDATE:
-                        component, value = payload
+                    if kind != SCAN:
+                        component, value = poised_update(
+                            protocol, process, kind, payload
+                        )
                         memory[component] = value
                         states[process] = protocol.advance(
                             states[process], None

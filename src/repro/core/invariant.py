@@ -50,7 +50,6 @@ from repro.protocols.base import (
     UPDATE,
     Protocol,
     solo_run,
-    solo_run_trace,
 )
 
 
@@ -279,12 +278,14 @@ def check_correspondence(outcome) -> Correspondence:
                 )
                 break
             allowed = record.components[:position_in_block]
+            steps: List[Tuple] = []
             try:
-                _state, _c, pending, decision, steps = solo_run_trace(
+                _state, _c, pending, decision = solo_run(
                     protocol,
                     states_at[process],
                     anchor.returned_view,
                     stop_before_update_outside=allowed,
+                    on_step=steps.append,
                 )
             except DivergenceError:
                 fail(
@@ -300,22 +301,13 @@ def check_correspondence(outcome) -> Correspondence:
                     f"({point.component}, {point.value!r})"
                 )
                 break
-            hidden_entries = []
-            for step in steps:
-                if step[0] == "scan":
-                    hidden_entries.append(
-                        SimEntry(kind="scan", process=process, hidden=True)
-                    )
-                else:
-                    hidden_entries.append(
-                        SimEntry(
-                            kind="update",
-                            process=process,
-                            component=step[1],
-                            value=step[2],
-                            hidden=True,
-                        )
-                    )
+            hidden_entries = [
+                SimEntry(kind=SCAN, process=process, hidden=True)
+                if step[0] == SCAN else
+                SimEntry(kind=UPDATE, process=process, component=step[1],
+                         value=step[2], hidden=True)
+                for step in steps
+            ]
             entries[at:at] = hidden_entries
             replayer.invalidate(at)
             out.hidden_steps += len(hidden_entries)

@@ -38,7 +38,13 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 from repro.augmented.object import AugmentedSnapshot
 from repro.augmented.views import YIELD
 from repro.errors import SimulationError, ValidationError
-from repro.protocols.base import DECIDE, SCAN, Protocol, solo_run
+from repro.protocols.base import (
+    DECIDE,
+    SCAN,
+    Protocol,
+    poised_update,
+    solo_run,
+)
 from repro.runtime.events import Annotate
 from repro.runtime.process import Process
 from repro.runtime.scheduler import Scheduler
@@ -148,7 +154,9 @@ def direct_simulator_body(
                 view = yield from aug.scan(proc.pid)
                 state = protocol.advance(state, view)
             else:
-                component, value = payload
+                component, value = poised_update(
+                    protocol, index, kind, payload
+                )
                 yield from aug.block_update(proc.pid, [component], [value])
                 state = protocol.advance(state, None)
 
@@ -236,7 +244,9 @@ def covering_simulator_body(
                 continue
 
             # p_{i,1} is poised to update: build the widest pending block.
-            updates: List[Tuple[int, Any]] = [payload]
+            updates: List[Tuple[int, Any]] = [
+                poised_update(protocol, indices[0], kind, payload)
+            ]
             while len(updates) < m:
                 r = len(updates)
                 components = [j for j, _ in updates]
@@ -270,7 +280,10 @@ def covering_simulator_body(
                     raise SimulationError(
                         "solo run ended without decision or pending update"
                     )
-                updates.append(pending)
+                # The stopping write must be an update, not an RMW.
+                updates.append(poised_update(
+                    protocol, indices[r], *protocol.poised(new_state)
+                ))
 
             if len(updates) == m:
                 # Full cover: the pending block update obliterates M, so

@@ -47,6 +47,7 @@ from repro.protocols.base import (
     SYMMETRY_IDENTITY,
     UPDATE,
     Protocol,
+    apply_step,
     protocol_body,
     run_protocol,
     solo_run,
@@ -79,6 +80,7 @@ __all__ = [
     "protocol_body",
     "run_protocol",
     "solo_run",
+    "apply_step",
     "ImmediateDecide",
     "MinSeen",
     "RotatingWrites",

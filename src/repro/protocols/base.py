@@ -13,6 +13,12 @@ machine over an ``m``-component snapshot ``M``:
   read-modify-write, it absorbs the operation's return value (the old
   contents of component ``j`` — see :func:`repro.memory.rmw.apply_rmw`).
 
+:func:`apply_step` is the one place the rule "take the poised step, apply
+it to M, ``advance``" is written for a memory tuple; solo runs, valence
+search, the covering builder and the space replay all call it.  (The
+packed explorer and the certificate verifiers keep independent copies,
+checked against it.)
+
 States must be *immutable and hashable* and transitions must be *pure*.
 This buys three guarantees the rest of the library depends on:
 
@@ -35,7 +41,7 @@ whose readers take consecutive scans) may opt out entirely by overriding
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Generator, Optional, Sequence, Tuple
 
 from repro.errors import DivergenceError, ProtocolError, ValidationError
 from repro.memory.rmw import RMWSnapshot, apply_rmw
@@ -140,6 +146,86 @@ class Protocol:
         return True
 
 
+def _unknown_kind(protocol: Protocol, kind: Any) -> ProtocolError:
+    return ProtocolError(f"{protocol.name}: unknown poised kind {kind!r}")
+
+
+def apply_step(
+    protocol: Protocol, state: Any, memory: Tuple[Any, ...]
+) -> Tuple[Any, Tuple[Any, ...], Tuple]:
+    """Take the poised step of ``state`` on the memory tuple (pure).
+
+    Returns ``(new_state, new_memory, step)``.  ``step`` records what the
+    step read, wrote or returned: ``(SCAN, view)``, ``(UPDATE, component,
+    value)`` or ``(RMW, component, op, args, result)``, where ``result``
+    is :func:`~repro.memory.rmw.apply_rmw`'s return value and ``args`` a
+    tuple.  A decided state is a :class:`~repro.errors.ValidationError`;
+    any other kind this function cannot apply is a
+    :class:`~repro.errors.ProtocolError` naming the protocol and the kind.
+    """
+    kind, payload = protocol.poised(state)
+    if kind == SCAN:
+        return protocol.advance(state, memory), memory, (SCAN, memory)
+    if kind == UPDATE:
+        component, value = payload
+        observation = None
+        step = (UPDATE, component, value)
+    elif kind == RMW:
+        component, op, args = payload
+        value, observation = apply_rmw(op, memory[component], args)
+        step = (RMW, component, op, tuple(args), observation)
+    elif kind == DECIDE:
+        raise ValidationError(
+            f"{protocol.name}: cannot step a process that decided {payload!r}"
+        )
+    else:
+        raise _unknown_kind(protocol, kind)
+    return (
+        protocol.advance(state, observation),
+        memory[:component] + (value,) + memory[component + 1:],
+        step,
+    )
+
+
+def poised_update(
+    protocol: Protocol, index: int, kind: str, payload: Any
+) -> Tuple[int, Any]:
+    """The ``(component, value)`` of a non-scan step on read/write memory.
+
+    For executors whose memory is built from read/write registers (the
+    register-level runner, the revisionist and BG simulators): an RMW
+    step is a :class:`~repro.errors.ProtocolError` naming the protocol,
+    process ``index`` and the operation, and so is a kind that is not
+    an update.
+    """
+    if kind == UPDATE:
+        return payload
+    if kind == RMW:
+        raise ProtocolError(
+            f"{protocol.name}: process {index} is poised for a "
+            f"read-modify-write step ({payload[1]!r}); a snapshot "
+            "built from read/write registers cannot implement it"
+        )
+    raise _unknown_kind(protocol, kind)
+
+
+def check_schedule(
+    protocol: Protocol, processes: int, schedule: Sequence[int]
+) -> None:
+    """Reject a schedule entry outside ``range(processes)``.
+
+    The :class:`~repro.errors.ValidationError` names the entry and its
+    position, instead of letting a negative entry silently step a
+    process counted from the end or a large one fail on indexing.
+    """
+    for position, index in enumerate(schedule):
+        if not 0 <= index < processes:
+            raise ValidationError(
+                f"{protocol.name}: schedule entry {index} at position "
+                f"{position} out of range for {processes} processes"
+            )
+
+
 def protocol_body(
     protocol: Protocol,
     index: int,
@@ -193,9 +279,7 @@ def protocol_body(
                 result = yield Invoke(snapshot, "rmw", (component, op, args))
                 state = protocol.advance(state, result)
             else:
-                raise ProtocolError(
-                    f"{protocol.name}: unknown poised kind {kind!r}"
-                )
+                raise _unknown_kind(protocol, kind)
             previous_kind = kind
             taken += 1
 
@@ -239,34 +323,40 @@ def solo_run(
     contents: Sequence[Any],
     stop_before_update_outside: Optional[Sequence[int]] = None,
     max_steps: int = 100_000,
+    on_step: Optional[Callable[[Tuple], Any]] = None,
 ) -> Tuple[Any, Tuple[Any, ...], Optional[Tuple[int, Any]], Optional[Any]]:
     """Locally run one protocol process solo from given snapshot contents.
 
     This is the paper's *local simulation*: the covering simulator runs a
     process ``p`` from a configuration where M's contents are a view ``V``
     it obtained from an atomic Block-Update, inserting hidden steps into the
-    past.  Scans read, and updates write, a local copy of the contents; the
-    run stops when
+    past.  Each step is :func:`apply_step` on a local copy of the
+    contents; the run stops when
 
     * the process decides — returns its decision; or
     * it is poised to update a component **not** in
       ``stop_before_update_outside`` (when given) — the paper's "until it is
       about to perform an update to a component j ∉ {j_1..j_r}".
       With ``stop_before_update_outside=[]`` the run stops before the very
-      first update (the base case: direct simulation until poised).
+      first update (the base case: direct simulation until poised).  An
+      RMW writes its component, so it stops the run the same way.
 
     Returns ``(state, final_contents, pending_update, decision)`` where
     ``pending_update`` is the ``(component, value)`` the process is poised
-    to perform (or None if it decided).
+    to write (or None if it decided); for an RMW the value is the one the
+    current contents determine.  ``on_step``, when given, receives the
+    step record of every step taken (the stopping write is not taken) —
+    the hidden execution ξ that the Lemma 28 correspondence checker
+    splices into the simulated execution.
 
     Raises :class:`~repro.errors.DivergenceError` if the process neither
     decides nor reaches a stopping update within ``max_steps`` — for an
     obstruction-free protocol this cannot happen (a solo run must decide).
     """
-    local = list(contents)
-    if len(local) != protocol.m:
+    memory = tuple(contents)
+    if len(memory) != protocol.m:
         raise ValidationError(
-            f"{protocol.name}: contents have {len(local)} components, "
+            f"{protocol.name}: contents have {len(memory)} components, "
             f"expected {protocol.m}"
         )
     allowed = None
@@ -275,84 +365,13 @@ def solo_run(
     for _ in range(max_steps):
         kind, payload = protocol.poised(state)
         if kind == DECIDE:
-            return state, tuple(local), None, payload
-        if kind == SCAN:
-            state = protocol.advance(state, tuple(local))
-        elif kind == UPDATE:
-            component, value = payload
-            if allowed is not None and component not in allowed:
-                return state, tuple(local), (component, value), None
-            local[component] = value
-            state = protocol.advance(state, None)
-        elif kind == RMW:
-            component, op, args = payload
-            new_value, result = apply_rmw(op, local[component], args)
-            if allowed is not None and component not in allowed:
-                # An RMW writes its component, so it stops the run the
-                # same way an update does; the pending write's value is
-                # determined by the current contents.
-                return state, tuple(local), (component, new_value), None
-            local[component] = new_value
-            state = protocol.advance(state, result)
-        else:
-            raise ProtocolError(f"{protocol.name}: unknown poised kind {kind!r}")
-    raise DivergenceError(
-        f"{protocol.name}: solo run did not decide or reach a stopping "
-        f"update within {max_steps} steps",
-        steps_taken=max_steps,
-    )
-
-
-def solo_run_trace(
-    protocol: Protocol,
-    state: Any,
-    contents: Sequence[Any],
-    stop_before_update_outside: Optional[Sequence[int]] = None,
-    max_steps: int = 100_000,
-) -> Tuple[Any, Tuple[Any, ...], Optional[Tuple[int, Any]], Optional[Any], List[Tuple]]:
-    """Like :func:`solo_run`, but also returns the step list.
-
-    The extra element is the sequence of steps taken, each
-    ``("scan", view)``, ``("update", component, value)`` or
-    ``("rmw", component, op, args, result)`` — the hidden execution ξ
-    that the Lemma 28 correspondence checker splices into the simulated
-    execution.
-    """
-    local = list(contents)
-    if len(local) != protocol.m:
-        raise ValidationError(
-            f"{protocol.name}: contents have {len(local)} components, "
-            f"expected {protocol.m}"
-        )
-    allowed = None
-    if stop_before_update_outside is not None:
-        allowed = set(stop_before_update_outside)
-    steps: List[Tuple] = []
-    for _ in range(max_steps):
-        kind, payload = protocol.poised(state)
-        if kind == DECIDE:
-            return state, tuple(local), None, payload, steps
-        if kind == SCAN:
-            view = tuple(local)
-            steps.append(("scan", view))
-            state = protocol.advance(state, view)
-        elif kind == UPDATE:
-            component, value = payload
-            if allowed is not None and component not in allowed:
-                return state, tuple(local), (component, value), None, steps
-            steps.append(("update", component, value))
-            local[component] = value
-            state = protocol.advance(state, None)
-        elif kind == RMW:
-            component, op, args = payload
-            new_value, result = apply_rmw(op, local[component], args)
-            if allowed is not None and component not in allowed:
-                return state, tuple(local), (component, new_value), None, steps
-            steps.append(("rmw", component, op, args, result))
-            local[component] = new_value
-            state = protocol.advance(state, result)
-        else:
-            raise ProtocolError(f"{protocol.name}: unknown poised kind {kind!r}")
+            return state, memory, None, payload
+        new_state, new_memory, step = apply_step(protocol, state, memory)
+        if allowed is not None and kind != SCAN and step[1] not in allowed:
+            return state, memory, (step[1], new_memory[step[1]]), None
+        if on_step is not None:
+            on_step(step)
+        state, memory = new_state, new_memory
     raise DivergenceError(
         f"{protocol.name}: solo run did not decide or reach a stopping "
         f"update within {max_steps} steps",

@@ -17,9 +17,15 @@ from __future__ import annotations
 
 from typing import Any, Sequence, Tuple
 
-from repro.errors import ProtocolError, ValidationError
+from repro.errors import ValidationError
 from repro.memory.afek import AfekMWSnapshot
-from repro.protocols.base import DECIDE, DECISION_TAG, RMW, SCAN, Protocol
+from repro.protocols.base import (
+    DECIDE,
+    DECISION_TAG,
+    SCAN,
+    Protocol,
+    poised_update,
+)
 from repro.runtime.events import Annotate
 from repro.runtime.process import Process
 from repro.runtime.scheduler import Scheduler
@@ -52,14 +58,10 @@ def register_protocol_body(
             if kind == SCAN:
                 view = yield from snapshot.scan(proc.pid)
                 state = protocol.advance(state, view)
-            elif kind == RMW:
-                raise ProtocolError(
-                    f"{protocol.name}: process {index} is poised for a "
-                    f"read-modify-write step ({payload[1]!r}); a snapshot "
-                    "built from read/write registers cannot implement it"
-                )
             else:
-                component, written = payload
+                component, written = poised_update(
+                    protocol, index, kind, payload
+                )
                 yield from snapshot.update(proc.pid, component, written)
                 state = protocol.advance(state, None)
             ops += 1

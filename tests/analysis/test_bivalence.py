@@ -7,9 +7,8 @@ from repro.analysis.bivalence import (
     initial_configuration,
     step_configuration,
 )
-from repro.errors import ProtocolError, ValidationError
+from repro.errors import ValidationError
 from repro.protocols import ImmediateDecide, RacingConsensus
-from repro.protocols.scenarios import SCENARIOS
 
 
 class TestConfigurationStepping:
@@ -33,21 +32,6 @@ class TestConfigurationStepping:
         config = step_configuration(protocol, config, 0)
         with pytest.raises(ValidationError):
             step_configuration(protocol, config, 0)
-
-    @pytest.mark.parametrize("name, operation", [
-        ("swap", "swap"),
-        ("cas", "compare_and_swap"),
-        ("tas", "test_and_set"),
-    ])
-    def test_rmw_step_is_a_named_protocol_error(self, name, operation):
-        """A read-modify-write step names the protocol and the operation
-        instead of failing to unpack an update payload."""
-        scenario = SCENARIOS[name]()
-        with pytest.raises(ProtocolError) as excinfo:
-            classify_valence(scenario.protocol, scenario.inputs)
-        message = str(excinfo.value)
-        assert message.startswith(f"{scenario.protocol.name}: ")
-        assert repr(operation) in message
 
 
 class TestValence:

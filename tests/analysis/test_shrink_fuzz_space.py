@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import (
+    base_object_profile,
     components_written,
     explore_protocol,
     fuzz_protocol,
@@ -12,6 +13,7 @@ from repro.analysis import (
     shrink_schedule,
     violates,
 )
+from repro.errors import ValidationError
 from repro.protocols import (
     ImmediateDecide,
     KSetAgreementTask,
@@ -136,6 +138,26 @@ class TestSpaceMeasurement:
         # One process stepping 3 rounds: writes 3 distinct components.
         schedule = [0] * 6
         assert len(components_written(protocol, [9], schedule)) == 3
+
+    @pytest.mark.parametrize("measure", [
+        components_written, base_object_profile,
+    ], ids=lambda measure: measure.__name__)
+    @pytest.mark.parametrize("schedule, entry, position", [
+        ([-1, -1], -1, 0),  # would silently step the last process
+        ([0, 1, 5], 5, 2),  # would fail on indexing
+    ], ids=["negative", "too-large"])
+    def test_schedule_entries_are_range_checked(
+        self, measure, schedule, entry, position
+    ):
+        """An entry outside range(len(inputs)) is a ValidationError naming
+        it and its position, not a silent step or a bare IndexError."""
+        protocol = RacingConsensus(3)
+        with pytest.raises(ValidationError) as excinfo:
+            measure(protocol, [0, 1, 2], schedule)
+        assert (
+            f"schedule entry {entry} at position {position} out of range"
+            in str(excinfo.value)
+        )
 
     def test_solo_runs_touch_few_components(self):
         """Space complexity is a max over executions: solo executions of

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import run_simulation
+from repro.core.bg import run_bg_simulation
 from repro.core.simulation import (
     SIM_BLOCK_TAG,
     SIM_DECISION_TAG,
@@ -10,12 +11,15 @@ from repro.core.simulation import (
     _find_anchor,
     build_setup,
 )
-from repro.errors import ValidationError
+from repro.errors import ProtocolError, ValidationError
 from repro.protocols import (
+    CASConsensus,
     KSetAgreementTask,
     MinSeen,
     RacingConsensus,
     RotatingWrites,
+    SwapConsensus,
+    TASConsensus,
     TruncatedProtocol,
 )
 from repro.runtime import RandomScheduler, RoundRobinScheduler
@@ -230,3 +234,36 @@ class TestTraceArtifacts:
             scheduler=RandomScheduler(7), max_steps=400_000,
         )
         assert outcome.aug.register_count() >= 3
+
+
+class TestReadWriteMemoryOnly:
+    @pytest.mark.parametrize("protocol, operation", [
+        (SwapConsensus(4), "swap"),
+        (CASConsensus(4), "compare_and_swap"),
+        # TASConsensus(n) uses n + 1 components, more than a simulation
+        # of its n processes admits, so it runs truncated to two
+        # registers; the simulators meet its first test-and-set before
+        # the aliasing matters.
+        (TruncatedProtocol(TASConsensus(4), 2), "test_and_set"),
+    ], ids=["swap", "cas", "tas"])
+    def test_rmw_protocol_is_a_named_protocol_error(
+        self, protocol, operation
+    ):
+        """Both simulations run over read/write memory, so an RMW step
+        is the register runner's named error — not a failed unpack (the
+        revisionist simulators) or a step misread as a scan (BG)."""
+        runs = [
+            lambda: run_simulation(
+                protocol, 1, 1, [0, 1], RoundRobinScheduler()
+            ),
+            lambda: run_bg_simulation(
+                protocol, [0, 1, 0, 1], 2, RoundRobinScheduler()
+            ),
+        ]
+        for run in runs:
+            with pytest.raises(ProtocolError) as excinfo:
+                run()
+            message = str(excinfo.value)
+            assert message.startswith(f"{protocol.name}: ")
+            assert repr(operation) in message
+            assert "read/write registers cannot implement it" in message
