@@ -81,7 +81,9 @@ from repro.protocols.base import (
     SCAN,
     SYMMETRY_FULL,
     SYMMETRY_IDENTITY,
+    UPDATE,
     Protocol,
+    _unknown_kind,
     check_schedule,
     solo_run,
 )
@@ -172,6 +174,9 @@ class ExplorationReport:
 
 #: Cache-miss sentinel (``None`` is a legal cached value for states).
 _MISSING = object()
+
+#: The poised kinds ``child`` can step (or stop at).
+_POISED_KINDS = (SCAN, UPDATE, RMW, DECIDE)
 
 #: Bits per process / memory slot in packed configuration keys.  Interned
 #: state/value ids live in ``[0, _SLOT_LIMIT)``; a protocol instance with
@@ -368,13 +373,17 @@ class ExplorationContext:
         """``protocol.poised`` for a slot id, computed once per id.
 
         The hot path classifies states by list index instead of
-        re-hashing the state object.
+        re-hashing the state object.  A kind the step rule does not know
+        is the :class:`~repro.errors.ProtocolError`
+        :func:`~repro.protocols.base.apply_step` raises, checked here
+        once per distinct state rather than once per transition.
         """
         entry = self._poised_ids[sid]
         if entry is None:
-            entry = self._poised_ids[sid] = self.protocol.poised(
-                self._values[sid]
-            )
+            entry = self.protocol.poised(self._values[sid])
+            if entry[0] not in _POISED_KINDS:
+                raise _unknown_kind(self.protocol, entry[0])
+            self._poised_ids[sid] = entry
         return entry
 
     def states_of(self, config: _Config) -> Tuple:

@@ -7,7 +7,8 @@ produce consistent, comparable reports:
 
 * :func:`sweep_simulation` — the revisionist simulation across seeds, with
   task checking and optional Lemma 28 verification per run;
-* :func:`sweep_protocol` — plain protocol executions across seeds;
+* :func:`sweep_protocol` — plain protocol executions across seeds, on
+  the pure step rule (no runtime trace);
 * :class:`SweepReport` — outcome tallies plus extremes (slowest run, first
   violating seed) that the write-ups quote.
 
@@ -25,7 +26,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.invariant import check_correspondence
 from repro.core.simulation import run_simulation
-from repro.protocols.base import Protocol, run_protocol
+from repro.protocols.base import Protocol, seeded_run
 from repro.runtime.scheduler import RandomScheduler
 
 
@@ -254,6 +255,13 @@ def sweep_protocol(
 ) -> SweepReport:
     """Run a protocol instance across seeds and aggregate outcomes.
 
+    Each seed runs on the pure step rule through
+    :func:`~repro.protocols.base.seeded_run`, which returns exactly the
+    result :func:`~repro.protocols.base.run_protocol` returns under
+    ``RandomScheduler(seed)`` without building the runtime's trace.  A
+    deep check of a ``sweep-run`` certificate (:mod:`repro.certify`)
+    re-runs its seed on the runtime.
+
     With ``certificates=True`` the report carries a witness certificate
     (:mod:`repro.certify`) for the minimum violating seed's run, when
     the protocol and task have registered certificate descriptors.
@@ -261,10 +269,7 @@ def sweep_protocol(
     report = SweepReport()
     best: Optional[Tuple[int, Dict[int, Any]]] = None
     for seed in seeds:
-        _system, result = run_protocol(
-            protocol, list(inputs), RandomScheduler(seed),
-            max_steps=max_steps,
-        )
+        result = seeded_run(protocol, inputs, seed, max_steps=max_steps)
         report.runs += 1
         report.completed += result.completed
         report.all_decided += len(result.outputs) == len(inputs)

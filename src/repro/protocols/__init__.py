@@ -50,6 +50,7 @@ from repro.protocols.base import (
     apply_step,
     protocol_body,
     run_protocol,
+    seeded_run,
     solo_run,
 )
 from repro.protocols.anonymous import AnonymousSweepConsensus
@@ -79,6 +80,7 @@ __all__ = [
     "SYMMETRY_IDENTITY",
     "protocol_body",
     "run_protocol",
+    "seeded_run",
     "solo_run",
     "apply_step",
     "ImmediateDecide",

@@ -14,10 +14,11 @@ machine over an ``m``-component snapshot ``M``:
   contents of component ``j`` — see :func:`repro.memory.rmw.apply_rmw`).
 
 :func:`apply_step` is the one place the rule "take the poised step, apply
-it to M, ``advance``" is written for a memory tuple; solo runs, valence
-search, the covering builder and the space replay all call it.  (The
-packed explorer and the certificate verifiers keep independent copies,
-checked against it.)
+it to M, ``advance``" is written for a memory tuple; solo runs, the
+seeded runs of the protocol sweeps (:func:`seeded_run`), valence search,
+the covering builder and the space replay all call it.  (The packed
+explorer and the certificate verifiers keep independent copies, checked
+against it.)
 
 States must be *immutable and hashable* and transitions must be *pure*.
 This buys three guarantees the rest of the library depends on:
@@ -41,14 +42,16 @@ whose readers take consecutive scans) may opt out entirely by overriding
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple,
+)
 
 from repro.errors import DivergenceError, ProtocolError, ValidationError
 from repro.memory.rmw import RMWSnapshot, apply_rmw
 from repro.memory.snapshot import AtomicSnapshot
 from repro.runtime.events import Annotate, Invoke
 from repro.runtime.process import Process
-from repro.runtime.scheduler import Scheduler
+from repro.runtime.scheduler import RandomScheduler, Scheduler
 from repro.runtime.system import ExecutionResult, System
 
 SCAN = "scan"
@@ -148,6 +151,23 @@ class Protocol:
 
 def _unknown_kind(protocol: Protocol, kind: Any) -> ProtocolError:
     return ProtocolError(f"{protocol.name}: unknown poised kind {kind!r}")
+
+
+def _broken_alternation(
+    protocol: Protocol, index: int, kind: str
+) -> ProtocolError:
+    return ProtocolError(
+        f"{protocol.name}: process {index} broke scan/update "
+        f"alternation (two consecutive {kind} steps)"
+    )
+
+
+def _check_inputs(protocol: Protocol, inputs: Sequence[Any]) -> None:
+    if len(inputs) > protocol.n:
+        raise ValidationError(
+            f"{protocol.name} supports n={protocol.n} processes, got "
+            f"{len(inputs)} inputs"
+        )
 
 
 def apply_step(
@@ -261,10 +281,7 @@ def protocol_body(
                 and kind == previous_kind
                 and kind != RMW
             ):
-                raise ProtocolError(
-                    f"{protocol.name}: process {index} broke scan/update "
-                    f"alternation (two consecutive {kind} steps)"
-                )
+                raise _broken_alternation(protocol, index, kind)
             if max_own_steps is not None and taken >= max_own_steps:
                 return None  # give up silently; the runner reports divergence
             if kind == SCAN:
@@ -298,12 +315,12 @@ def run_protocol(
     ``inputs[i]`` is process i's input; processes get pids 0..len-1.
     Returns the system (for trace analysis) and the execution result, whose
     ``outputs`` map pids to decided values (absent for undecided processes).
+    Traces come only from here, the runtime.  The protocol sweeps keep
+    no trace, so they run on the step rule instead: :func:`seeded_run`
+    returns this function's result under ``RandomScheduler(seed)``
+    without building a system.
     """
-    if len(inputs) > protocol.n:
-        raise ValidationError(
-            f"{protocol.name} supports n={protocol.n} processes, got "
-            f"{len(inputs)} inputs"
-        )
+    _check_inputs(protocol, inputs)
     system = System()
     # An RMWSnapshot behaves exactly like an AtomicSnapshot unless the
     # protocol issues RMW steps, so every protocol gets one.
@@ -315,6 +332,74 @@ def run_protocol(
         )
     result = system.run(scheduler, max_steps=max_steps)
     return system, result
+
+
+_STEP_KINDS = (SCAN, UPDATE, RMW)
+
+
+def seeded_run(
+    protocol: Protocol,
+    inputs: Sequence[Any],
+    seed: int,
+    max_steps: int = 100_000,
+) -> ExecutionResult:
+    """:func:`run_protocol` under ``RandomScheduler(seed)``, without a trace.
+
+    Steps the configuration ``(states, memory)`` with :func:`apply_step`
+    and takes each turn from ``RandomScheduler(seed)`` over the ascending
+    list of processes still running, so it draws exactly the turns the
+    runtime draws and returns an equal :class:`ExecutionResult`:
+    ``max_steps`` bounds turns, a process whose initial state is decided
+    spends its first turn deciding without a step, ``outputs`` lists the
+    decided processes in pid order, and a broken scan/update alternation
+    or an unknown poised kind raises the runtime's
+    :class:`~repro.errors.ProtocolError` at the same turn.  No system,
+    process or event is built; the one-process sibling is
+    :func:`solo_run`.
+    """
+    _check_inputs(protocol, inputs)
+    next_pid = RandomScheduler(seed).next_pid
+    check_alternation = protocol.alternates()
+    memory = (None,) * protocol.m
+    states: List[Any] = [None] * len(inputs)
+    # The kind each running process is poised for; None before its
+    # first turn.
+    kinds: List[Optional[str]] = [None] * len(inputs)
+    decided: Dict[int, Any] = {}
+    running = list(range(len(inputs)))
+    steps = turns = 0
+    while running and turns < max_steps:
+        turns += 1
+        pid = next_pid(running)
+        kind = kinds[pid]
+        if kind is None:
+            state = protocol.initial_state(pid, inputs[pid])
+            kind, payload = protocol.poised(state)
+            if kind == DECIDE:
+                decided[pid] = payload
+                running.remove(pid)
+                continue
+            if kind not in _STEP_KINDS:
+                raise _unknown_kind(protocol, kind)
+        else:
+            state = states[pid]
+        state, memory, _ = apply_step(protocol, state, memory)
+        steps += 1
+        new_kind, payload = protocol.poised(state)
+        if new_kind == DECIDE:
+            decided[pid] = payload
+            running.remove(pid)
+            continue
+        if check_alternation and new_kind == kind and kind != RMW:
+            raise _broken_alternation(protocol, pid, kind)
+        if new_kind not in _STEP_KINDS:
+            raise _unknown_kind(protocol, new_kind)
+        states[pid] = state
+        kinds[pid] = new_kind
+    outputs = {pid: decided[pid] for pid in sorted(decided)}
+    return ExecutionResult(
+        not running, steps, outputs, diverged=bool(running)
+    )
 
 
 def solo_run(

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from typing import Any, Tuple
 
-from repro.errors import ValidationError
-from repro.protocols.base import UPDATE, Protocol
+from repro.errors import ProtocolError, ValidationError
+from repro.protocols.base import RMW, UPDATE, Protocol
 from repro.protocols.racing import RacingConsensus
 
 
@@ -88,6 +88,9 @@ class TruncatedProtocol(Protocol):
     collide, which is precisely the "protocol that uses too few registers"
     object the lower-bound proof contradicts out of existence — so feeding
     this to the revisionist simulation must expose a violation.
+
+    Only read/write components are aliased: a base process poised for a
+    read-modify-write step is a :class:`~repro.errors.ProtocolError`.
     """
 
     def __init__(self, base: Protocol, registers: int) -> None:
@@ -106,6 +109,13 @@ class TruncatedProtocol(Protocol):
         if kind == UPDATE:
             component, value = payload
             return (UPDATE, (component % self.m, value))
+        if kind == RMW:
+            raise ProtocolError(
+                f"{self.name}: the base protocol is poised for a "
+                f"read-modify-write step ({payload[1]!r}); truncation "
+                "aliases read/write components only, and read/write "
+                "registers cannot implement it"
+            )
         return (kind, payload)
 
     def advance(self, state: Any, observation: Any = None) -> Any:

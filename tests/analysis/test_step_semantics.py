@@ -7,8 +7,9 @@ and the space replay).  The packed explorer's ``child`` keeps its own,
 cached copy of the rule, so it is an independent code path: the replay
 built on :func:`apply_step` must reach the same states and memory on
 every registered scenario.  A kind the rule does not know must fail by
-name in every analysis, and valence search must run on every scenario,
-the read-modify-write ones included.
+name in every analysis and executor, the explorer included, and
+valence search must run on every scenario, the read-modify-write ones
+included.
 """
 
 import random
@@ -20,13 +21,23 @@ from repro.analysis import (
     build_covering,
     classify_valence,
     components_written,
+    explore_protocol,
 )
 from repro.analysis.space import replay_steps
 from repro.certify import verify
 from repro.core import run_simulation
 from repro.core.bg import run_bg_simulation
+from repro.core.sweep import sweep_protocol
 from repro.errors import ProtocolError
-from repro.protocols import DECIDE, Protocol, solo_run
+from repro.protocols import (
+    DECIDE,
+    KSetAgreementTask,
+    Protocol,
+    TASConsensus,
+    TruncatedProtocol,
+    seeded_run,
+    solo_run,
+)
 from repro.protocols.scenarios import SCENARIOS
 from repro.runtime import RoundRobinScheduler
 
@@ -88,9 +99,12 @@ class FetchAndAdd(Protocol):
     lambda p: solo_run(p, p.initial_state(0, 0), (None,)),
     lambda p: run_simulation(p, 1, 1, [0, 1], RoundRobinScheduler()),
     lambda p: run_bg_simulation(p, [0, 1], 1, RoundRobinScheduler()),
+    lambda p: explore_protocol(p, [0, 1], KSetAgreementTask(1)),
+    lambda p: seeded_run(p, [0, 1], 0),
 ], ids=[
     "classify_valence", "build_covering", "components_written",
     "solo_run", "run_simulation", "run_bg_simulation",
+    "explore_protocol", "seeded_run",
 ])
 def test_unknown_kind_is_a_named_protocol_error(drive):
     protocol = FetchAndAdd()
@@ -98,6 +112,27 @@ def test_unknown_kind_is_a_named_protocol_error(drive):
         drive(protocol)
     assert str(excinfo.value) == (
         "fetch-and-add-gadget: unknown poised kind 'fetch_and_add'"
+    )
+
+
+@pytest.mark.parametrize("drive", [
+    lambda p: solo_run(p, p.initial_state(0, 0), (None, None)),
+    lambda p: classify_valence(p, [0, 1]),
+    lambda p: explore_protocol(p, [0, 1], KSetAgreementTask(1)),
+    lambda p: sweep_protocol(p, [0, 1], range(3)),
+], ids=["solo_run", "classify_valence", "explore_protocol", "sweep_protocol"])
+def test_truncating_an_rmw_protocol_is_a_named_protocol_error(drive):
+    """Truncation aliases read/write components only; a base process
+    poised for test-and-set fails by name instead of reaching memory
+    unaliased."""
+    protocol = TruncatedProtocol(TASConsensus(4), 2)
+    with pytest.raises(ProtocolError) as excinfo:
+        drive(protocol)
+    assert str(excinfo.value) == (
+        "tas-consensus(n=4)|truncated-to-2: the base protocol is poised "
+        "for a read-modify-write step ('test_and_set'); truncation "
+        "aliases read/write components only, and read/write registers "
+        "cannot implement it"
     )
 
 

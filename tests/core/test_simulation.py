@@ -242,8 +242,8 @@ class TestReadWriteMemoryOnly:
         (CASConsensus(4), "compare_and_swap"),
         # TASConsensus(n) uses n + 1 components, more than a simulation
         # of its n processes admits, so it runs truncated to two
-        # registers; the simulators meet its first test-and-set before
-        # the aliasing matters.
+        # registers; truncation itself rejects the first test-and-set
+        # with an error of the same form.
         (TruncatedProtocol(TASConsensus(4), 2), "test_and_set"),
     ], ids=["swap", "cas", "tas"])
     def test_rmw_protocol_is_a_named_protocol_error(
