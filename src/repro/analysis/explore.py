@@ -36,10 +36,12 @@ and reproduce the serial report byte for byte — see docs/CAMPAIGNS.md.
 
 The hot path is cache-heavy: an :class:`ExplorationContext` owns the
 per-protocol transition caches (``poised`` classification and scan/update
-successors), hash-conses whole configurations into interned
-:class:`_Config` nodes with cached hashes and per-configuration successor
-and task-check caches, and tracks decision status incrementally (only the
-stepped process can change it).  The caches hold *pure derived data
+successors), hash-conses whole configurations into int *row ids* of flat
+per-field tables (packed key, slot ids, decision status, canonical
+class, task verdict, successor per process), and tracks decision status
+incrementally (only the stepped process can change it).  No object
+exists per configuration, so a growing context hands CPython's cyclic
+garbage collector nothing to walk.  The caches hold *pure derived data
 only*, so sharing them across units — or not — cannot change any report;
 docs/PERFORMANCE.md records the purity assumptions they rely on and the
 measured effect.
@@ -69,7 +71,7 @@ safe/unsafe verdict and a genuinely replayable counterexample, but visit
 
 from __future__ import annotations
 
-import itertools
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -175,6 +177,15 @@ class ExplorationReport:
 #: Cache-miss sentinel (``None`` is a legal cached value for states).
 _MISSING = object()
 
+#: Depth-memo value of a class not expanded yet in the current unit
+#: (above any depth, so ``depth >= _UNSEEN`` never prunes), and the
+#: block the memo grows by.
+_UNSEEN = sys.maxsize
+_UNSEEN_CHUNK = (_UNSEEN,) * 1024
+
+#: The block successor columns grow by (``None``: not stepped yet).
+_UNSTEPPED_CHUNK = (None,) * 1024
+
 #: The poised kinds ``child`` can step (or stop at).
 _POISED_KINDS = (SCAN, UPDATE, RMW, DECIDE)
 
@@ -195,87 +206,43 @@ def _pack(ids: Sequence[int]) -> int:
     return key
 
 
-class _Config:
-    """One interned system configuration (hash-consed by the context).
-
-    ``sids``/``mids`` are the per-slot interned ids of the process states
-    and memory contents.  ``key`` packs both into the one integer the
-    context interns by (process slots lowest, then memory components)
-    and ``mkey`` packs the memory ids alone; children derive both from
-    the parent's with one shifted-delta addition per changed slot.
-    ``decided`` maps decided process indices to their DECIDE payloads in
-    ascending index order; ``undecided`` is the ascending tuple of
-    indices still poised to scan or update.  ``succ`` caches the
-    interned successor per stepped index and ``check_cache`` the task
-    checker's verdict — both pure functions of the configuration given
-    the context's protocol/task, so caching them can never change a
-    report.  ``canon`` lazily caches the class
-    :meth:`ExplorationContext.canon_key` interns for the node, the small
-    int the per-unit depth memo is keyed by.
-
-    Interning makes identity coincide with configuration equality, so
-    no lookup after the intern step re-hashes wide state/memory tuples.
-    ``decided``/``undecided`` may be shared between a parent and a child
-    that made no new decision; treat them as immutable.
-
-    The raw ``states``/``memory`` tuples start as ``None``: the hot path
-    runs entirely on slot ids and packed keys, and the tuples are
-    materialized from the context's reverse table only when a
-    transition-cache miss (or an external caller, via
-    :meth:`ExplorationContext.states_of` /
-    :meth:`ExplorationContext.memory_of`) actually needs the objects.
-    """
-
-    __slots__ = ("states", "memory", "decided", "undecided", "succ",
-                 "check_cache", "key", "sids", "mkey", "mids", "canon")
-
-    def __init__(
-        self,
-        decided: Dict[int, Any],
-        undecided: Tuple[int, ...],
-        key: int,
-        sids: Tuple[int, ...],
-        mkey: int,
-        mids: Tuple[int, ...],
-    ) -> None:
-        self.states: Optional[Tuple] = None
-        self.memory: Optional[Tuple] = None
-        self.decided = decided
-        self.undecided = undecided
-        # One slot per process, allocated by the first child() call
-        # (most nodes are never expanded); replay steps by decided
-        # processes cache the parent itself, so a list (no key hashing)
-        # suffices.
-        self.succ: Optional[List[Optional["_Config"]]] = None
-        self.check_cache: Optional[List[str]] = None
-        self.key = key
-        self.sids = sids
-        self.mkey = mkey
-        self.mids = mids
-        self.canon: Optional[int] = None
-
-
 class ExplorationContext:
     """Transition caches for one ``(protocol, inputs, task)`` triple.
 
     Owns the hot-path caches the explorer, fuzzer, and shrinker share:
 
     - the intern table mapping every distinct process state and memory
-      value to a small slot id, and packed configuration keys to
-      :class:`_Config` nodes, each carrying its decided/undecided split
-      (maintained incrementally: only the stepped process can change
-      decision status) and a per-index successor cache.  A key packs
-      the state ids into the low ``_SLOT_BITS * len(inputs)`` bits and
-      the memory ids above them; every id is below ``_SLOT_LIMIT``, so
-      no slot spills into the next and the key is injective;
-    - the canonical classes of :meth:`canon_key`, numbered in
-      first-seen order;
+      value to a small slot id, and packed configuration keys to *rows*:
+      each interned configuration is an int row id into flat per-field
+      tables (below).  A key packs the state ids into the low
+      ``_SLOT_BITS * len(inputs)`` bits and the memory ids above them;
+      every id is below ``_SLOT_LIMIT``, so no slot spills into the next
+      and the key is injective;
+    - the canonical classes of :meth:`canon_key`, one per row;
     - ``protocol.poised`` per slot id, computed once per distinct state
       instead of once per visit;
     - scan/update/RMW successors — ``advance`` results keyed by slot ids:
       ``(state, memory key)`` for scans (the observation is the memory
       snapshot), the state alone for updates (their observation is
       always ``None``), and ``(state, old component value)`` for RMWs.
+
+    The row tables, all indexed by row id, hold the packed key, the
+    state-id and memory-id tuples and the memory key, the decided map
+    and the undecided tuple (maintained incrementally: only the stepped
+    process can change decision status, so a parent and a child that
+    made no new decision share both; treat them as immutable), the
+    canonical class and the cached task verdict.  The successor
+    table has one entry per row and process index — the row that
+    process's step reaches, ``None`` until first stepped, the row's own
+    id for a step by a decided process — stored as one flat column per
+    process index, so a cache hit is two list subscripts.  The raw
+    ``states``/``memory`` tuples are materialized on demand into dicts.
+    Rows are plain ints and the tables hold only ints, tuples and shared
+    decision maps, so a live context carries no per-configuration object
+    for the cyclic garbage collector to walk and no reference cycle.
+    Interning makes row identity coincide with configuration equality,
+    so no lookup after the intern step re-hashes wide state/memory
+    tuples.
 
     Everything cached is *pure derived data* under the documented
     :class:`~repro.protocols.base.Protocol` contract (hashable immutable
@@ -320,14 +287,33 @@ class ExplorationContext:
         #: (an RMW reads what it overwrites), so the key carries it:
         #: ``(sid, old mid) -> (new sid, new value mid)``.
         self._rmw_succ: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        self._width = len(self.inputs)
         #: Bit offset of the memory ids in a packed configuration key.
-        self._mshift = _SLOT_BITS * len(self.inputs)
-        self._configs: Dict[int, _Config] = {}
-        #: canonical form -> class id under symmetry reduction; without
-        #: it every configuration is its own class, numbered by
-        #: ``_fresh_class`` (see canon_key).
+        self._mshift = _SLOT_BITS * self._width
+        #: packed key -> row id.
+        self._rows: Dict[int, int] = {}
+        # The row tables, all indexed by row id (see the class
+        # docstring).
+        self._keys: List[int] = []
+        self._sids: List[Tuple[int, ...]] = []
+        self._mkeys: List[int] = []
+        self._mids: List[Tuple[int, ...]] = []
+        self._decided: List[Dict[int, Any]] = []
+        self._undecided: List[Tuple[int, ...]] = []
+        self._canon: List[int] = []
+        self._verdicts: List[Optional[Tuple[str, ...]]] = []
+        #: Raw tuples, materialized on demand: states per row, memory
+        #: per memory key (shared by every row holding that memory).
+        self._states: Dict[int, Tuple] = {}
+        self._memory: Dict[int, Tuple] = {}
+        #: ``_succ[index][row]``: the row process ``index``'s step
+        #: reaches (``None``: not stepped yet).
+        self._succ: List[List[Optional[int]]] = [[] for _ in self.inputs]
+        #: Rows the successor columns have room for.
+        self._capacity = 0
+        #: canonical form -> class id under symmetry reduction (see
+        #: canon_key).
         self._classes: Dict[Tuple[int, ...], int] = {}
-        self._fresh_class = itertools.count()
         #: state/value -> slot id.  States and memory values share one
         #: table; ids are assigned in first-seen order, so the mapping is
         #: deterministic per traversal order but never observable in a
@@ -386,63 +372,94 @@ class ExplorationContext:
             self._poised_ids[sid] = entry
         return entry
 
-    def states_of(self, config: _Config) -> Tuple:
+    def states_of(self, row: int) -> Tuple:
         """The configuration's raw state tuple (materialized lazily: the
         hot path runs on slot ids)."""
-        states = config.states
+        states = self._states.get(row)
         if states is None:
             values = self._values
-            states = config.states = tuple(
-                values[sid] for sid in config.sids
+            states = self._states[row] = tuple(
+                values[sid] for sid in self._sids[row]
             )
         return states
 
-    def memory_of(self, config: _Config) -> Tuple:
+    def memory_of(self, row: int) -> Tuple:
         """The configuration's raw memory tuple (lazy, like
         :meth:`states_of`)."""
-        memory = config.memory
+        mkey = self._mkeys[row]
+        memory = self._memory.get(mkey)
         if memory is None:
             values = self._values
-            memory = config.memory = tuple(
-                values[mid] for mid in config.mids
+            memory = self._memory[mkey] = tuple(
+                values[mid] for mid in self._mids[row]
             )
         return memory
 
-    def canon_key(self, config: _Config) -> int:
+    def decided_of(self, row: int) -> Dict[int, Any]:
+        """The configuration's decisions: decided process index -> DECIDE
+        payload, in ascending index order.  Shared with other rows;
+        treat it as immutable."""
+        return self._decided[row]
+
+    def canon_key(self, row: int) -> int:
         """The configuration's class under the context's symmetry group.
 
-        The class is a small int the context assigns, in first-seen
-        order, per distinct canonical form.  On a symmetry-reducing
-        context the form is the *sorted* state-id tuple plus the memory
-        key, so two configurations share a class iff one is a process
-        permutation of the other (memory is permutation-invariant:
-        component j is component j for every process); otherwise every
-        configuration is its own class.
-        Cached on the node as ``config.canon``, so depth memo tables
-        hash one small int per lookup.
+        The class is a small int the context assigns when it interns the
+        row.  On a symmetry-reducing context it is numbered in
+        first-seen order per distinct canonical form, the *sorted*
+        state-id tuple plus the memory key, so two configurations share
+        a class iff one is a process permutation of the other (memory is
+        permutation-invariant: component j is component j for every
+        process); otherwise every configuration is its own class, the
+        row id itself.  Classes are numbered densely from 0, so the
+        per-unit depth memo is a list indexed by class.
         """
-        canon = config.canon
-        if canon is None:
-            if self.symmetry:
-                form = (*sorted(config.sids), config.mkey)
-                classes = self._classes
-                canon = classes.get(form)
-                if canon is None:
-                    canon = classes[form] = len(classes)
-            else:
-                canon = next(self._fresh_class)
-            config.canon = canon
-        return canon
+        return self._canon[row]
 
-    def _intern_scan(self, states: Tuple, memory: Tuple) -> _Config:
+    def _add_row(
+        self,
+        key: int,
+        sids: Tuple[int, ...],
+        mkey: int,
+        mids: Tuple[int, ...],
+        decided: Dict[int, Any],
+        undecided: Tuple[int, ...],
+    ) -> int:
+        """Append one configuration to the row tables; returns its row."""
+        row = len(self._keys)
+        self._rows[key] = row
+        self._keys.append(key)
+        self._sids.append(sids)
+        self._mkeys.append(mkey)
+        self._mids.append(mids)
+        self._decided.append(decided)
+        self._undecided.append(undecided)
+        self._verdicts.append(None)
+        if row == self._capacity:
+            # Grow the successor columns in blocks, not per row.
+            for column in self._succ:
+                column.extend(_UNSTEPPED_CHUNK)
+            self._capacity += len(_UNSTEPPED_CHUNK)
+        if self.symmetry:
+            form = (*sorted(sids), mkey)
+            classes = self._classes
+            canon = classes.get(form)
+            if canon is None:
+                canon = classes[form] = len(classes)
+            self._canon.append(canon)
+        else:
+            self._canon.append(row)
+        return row
+
+    def _intern_scan(self, states: Tuple, memory: Tuple) -> int:
         """Intern a configuration, deriving the decided split by full scan
         (used only for roots; children derive it incrementally)."""
         sids = tuple(self._id(state) for state in states)
         mids = tuple(self._id(value) for value in memory)
         mkey = _pack(mids)
         key = _pack(sids) | (mkey << self._mshift)
-        config = self._configs.get(key)
-        if config is None:
+        row = self._rows.get(key)
+        if row is None:
             decided: Dict[int, Any] = {}
             undecided: List[int] = []
             for index, sid in enumerate(sids):
@@ -451,39 +468,51 @@ class ExplorationContext:
                     decided[index] = payload
                 else:
                     undecided.append(index)
-            config = _Config(
-                decided, tuple(undecided), key, sids, mkey, mids
+            row = self._add_row(
+                key, sids, mkey, mids, decided, tuple(undecided)
             )
-            self._configs[key] = config
-        return config
+        return row
 
-    def child(self, parent: _Config, index: int) -> _Config:
+    def child(self, parent: int, index: int) -> int:
         """The configuration after process ``index`` takes one step.
 
         Stepping a decided process is a no-op returning ``parent``
-        (replay semantics).  The result is interned and cached on the
-        parent, so each edge of the configuration graph pays for its
-        transition exactly once per context.  Slot ids and packed keys
-        only: state and memory *objects* are touched exclusively on
-        transition-cache misses — every revisit of a known ``(state,
-        memory snapshot)`` pair runs on machine words (list indexing,
-        int-keyed dict gets, and one shifted-delta addition per step)
-        without hashing or allocating any wide tuple.
+        (replay semantics).  The result is interned and cached in the
+        successor table, so each edge of the configuration graph pays
+        for its transition exactly once per context.  Slot ids and
+        packed keys only: state and memory *objects* are touched
+        exclusively on transition-cache misses — every revisit of a
+        known ``(state, memory snapshot)`` pair runs on machine words
+        (list indexing, int-keyed dict gets, and one shifted-delta
+        addition per step) without hashing or allocating any wide tuple.
+        An ``index`` outside ``range(len(inputs))`` is a
+        :class:`~repro.errors.ValidationError` (a negative one would
+        otherwise read another process's successor).
         """
-        succ = parent.succ
-        if succ is None:
-            succ = parent.succ = [None] * len(parent.sids)
-        else:
-            cached = succ[index]
-            if cached is not None:
-                return cached
-        sid = parent.sids[index]
+        width = self._width
+        if not 0 <= index < width:
+            raise ValidationError(
+                f"{self.protocol.name}: process index {index} out of "
+                f"range for {width} processes"
+            )
+        cached = self._succ[index][parent]
+        if cached is not None:
+            return cached
+        return self._step(parent, index)
+
+    def _step(self, parent: int, index: int) -> int:
+        """:meth:`child` on a successor-cache miss, for the hot callers
+        that already read ``_succ[index][parent]`` as ``None`` for a
+        valid ``index``."""
+        sids = self._sids[parent]
+        sid = sids[index]
         kind, payload = self._poised_ids[sid] or self._poised_by_id(sid)
         if kind == DECIDE:
-            succ[index] = parent
+            self._succ[index][parent] = parent
             return parent
-        mkey = parent.mkey
-        mids = parent.mids
+        key = self._keys[parent]
+        mkey = self._mkeys[parent]
+        mids = self._mids[parent]
         if kind == SCAN:
             # Per-sid table keyed by the memory key alone: an int-keyed
             # dict get with no key-tuple allocation.
@@ -496,83 +525,93 @@ class ExplorationContext:
                     self._values[sid], self.memory_of(parent)
                 ))
                 by_memory[mkey] = new_sid
-            new_mid = old_mid = 0
-        elif kind == RMW:
-            component, op, args = payload
-            old_mid = mids[component]
-            entry = self._rmw_succ.get((sid, old_mid))
-            if entry is None:
-                new_value, result = apply_rmw(
-                    op, self._values[old_mid], args
-                )
-                entry = (
-                    self._id(self.protocol.advance(
-                        self._values[sid], result
-                    )),
-                    self._id(new_value),
-                )
-                self._rmw_succ[(sid, old_mid)] = entry
-            new_sid, new_mid = entry
         else:
-            entry = self._update_succ.get(sid)
-            if entry is None:
-                component, value = payload
-                entry = (
-                    self._id(self.protocol.advance(self._values[sid], None)),
-                    component, self._id(value),
-                )
-                self._update_succ[sid] = entry
-            new_sid, component, new_mid = entry
-            old_mid = mids[component]
-        key = parent.key + ((new_sid - sid) << (index * _SLOT_BITS))
-        if new_mid != old_mid:
-            shift = component * _SLOT_BITS
-            mkey += (new_mid - old_mid) << shift
-            key += (new_mid - old_mid) << (shift + self._mshift)
-            mids = mids[:component] + (new_mid,) + mids[component + 1:]
-        config = self._configs.get(key)
-        if config is None:
+            if kind == RMW:
+                component, op, args = payload
+                old_mid = mids[component]
+                entry = self._rmw_succ.get((sid, old_mid))
+                if entry is None:
+                    new_value, result = apply_rmw(
+                        op, self._values[old_mid], args
+                    )
+                    entry = (
+                        self._id(self.protocol.advance(
+                            self._values[sid], result
+                        )),
+                        self._id(new_value),
+                    )
+                    self._rmw_succ[(sid, old_mid)] = entry
+                new_sid, new_mid = entry
+            else:
+                entry = self._update_succ.get(sid)
+                if entry is None:
+                    component, value = payload
+                    entry = (
+                        self._id(self.protocol.advance(
+                            self._values[sid], None
+                        )),
+                        component, self._id(value),
+                    )
+                    self._update_succ[sid] = entry
+                new_sid, component, new_mid = entry
+                old_mid = mids[component]
+            if new_mid != old_mid:
+                shift = component * _SLOT_BITS
+                mkey += (new_mid - old_mid) << shift
+                key += (new_mid - old_mid) << (shift + self._mshift)
+                mids = mids[:component] + (new_mid,) + mids[component + 1:]
+        key += (new_sid - sid) << (index * _SLOT_BITS)
+        row = self._rows.get(key)
+        if row is None:
             new_kind, new_payload = (
                 self._poised_ids[new_sid] or self._poised_by_id(new_sid)
             )
+            decided = self._decided[parent]
+            undecided = self._undecided[parent]
             if new_kind == DECIDE:
-                decided = dict(parent.decided)
+                later = any(k > index for k in decided)
+                decided = dict(decided)
                 decided[index] = new_payload
-                if any(k > index for k in parent.decided):
+                if later:
                     decided = {k: decided[k] for k in sorted(decided)}
-                undecided = tuple(
-                    k for k in parent.undecided if k != index
-                )
-            else:
-                decided = parent.decided
-                undecided = parent.undecided
-            sids = (
-                parent.sids[:index] + (new_sid,) + parent.sids[index + 1:]
+                undecided = tuple(k for k in undecided if k != index)
+            row = self._add_row(
+                key, sids[:index] + (new_sid,) + sids[index + 1:],
+                mkey, mids, decided, undecided,
             )
-            config = _Config(decided, undecided, key, sids, mkey, mids)
-            self._configs[key] = config
-        succ[index] = config
-        return config
+        self._succ[index][parent] = row
+        return row
 
-    def replay(self, schedule: Sequence[int]) -> _Config:
+    def replay(self, schedule: Sequence[int]) -> int:
         """The configuration a schedule reaches from the root (steps by
-        decided processes are no-ops, matching replay semantics)."""
-        config = self.root
-        child = self.child
-        for index in schedule:
-            config = child(config, index)
-        return config
+        decided processes are no-ops, matching replay semantics).
 
-    def check(self, config: _Config) -> List[str]:
-        """The task checker's verdict for a configuration, cached.
-
-        Valid because ``task.check`` is pure and must not mutate its
-        arguments (the decided map is shared with the config).
+        An entry outside ``range(len(inputs))`` is a
+        :class:`~repro.errors.ValidationError` naming it
+        (:func:`~repro.protocols.base.check_schedule`).
         """
-        found = config.check_cache
+        check_schedule(self.protocol, self._width, schedule)
+        row = self.root
+        succ = self._succ
+        step = self._step
+        for index in schedule:
+            # Inlined successor-cache hit, as in the explorer's frontier.
+            nxt = succ[index][row]
+            row = nxt if nxt is not None else step(row, index)
+        return row
+
+    def check(self, row: int) -> Tuple[str, ...]:
+        """The task checker's verdict for a configuration, as a tuple.
+
+        Cached per row; the empty verdict is the shared ``()``.  Valid
+        because ``task.check`` is pure and must not mutate its
+        arguments (the decided map is shared between rows).
+        """
+        found = self._verdicts[row]
         if found is None:
-            found = self.task.check(list(self.inputs), config.decided)
-            config.check_cache = found
+            found = self._verdicts[row] = tuple(
+                self.task.check(list(self.inputs), self._decided[row])
+            )
         return found
 
 
@@ -642,14 +681,16 @@ def schedule_prefixes(
     # Explicit DFS stack (recursion here risked RecursionError at large
     # depths); children pushed in descending index order so pops — and
     # therefore appended prefixes — come out in lexicographic order.
-    stack: List[Tuple[_Config, Tuple[int, ...]]] = [(ctx.root, ())]
+    undecided_of = ctx._undecided
+    stack: List[Tuple[int, Tuple[int, ...]]] = [(ctx.root, ())]
     while stack:
-        config, prefix = stack.pop()
-        if len(prefix) == depth or not config.undecided:
+        row, prefix = stack.pop()
+        undecided = undecided_of[row]
+        if len(prefix) == depth or not undecided:
             prefixes.append(prefix)
             continue
-        for index in reversed(config.undecided):
-            stack.append((ctx.child(config, index), prefix + (index,)))
+        for index in reversed(undecided):
+            stack.append((ctx.child(row, index), prefix + (index,)))
     return tuple(prefixes)
 
 
@@ -680,7 +721,7 @@ def _materialize(prefix: Tuple[int, ...], tail: Optional[Tuple]) -> List[int]:
 def _check_node(
     report: ExplorationReport,
     ctx: ExplorationContext,
-    config: _Config,
+    row: int,
     prefix: Tuple[int, ...],
     tail: Optional[Tuple],
     stop_at_first_violation: bool,
@@ -694,9 +735,9 @@ def _check_node(
     counterexample is the lexicographically least violating schedule seen
     so far, keeping the report independent of traversal order.
     """
-    if not config.decided:
+    if not ctx._decided[row]:
         return False
-    found = ctx.check(config)
+    found = ctx.check(row)
     if not found:
         return False
     for violation in found:
@@ -724,10 +765,10 @@ def _explore_unit(
     frontier reaches below the prefix.  ``best_depth`` memoizes the
     minimum depth each configuration was expanded at; a strictly
     shallower arrival re-expands (the depth-bound soundness fix), a
-    deeper or equal one is pruned.  The memo is keyed by the small-int
-    class :meth:`ExplorationContext.canon_key` interns per configuration
-    and is per-unit — only the context's pure transition caches persist
-    across units.
+    deeper or equal one is pruned.  The memo is a list indexed by the
+    small-int class :meth:`ExplorationContext.canon_key` assigns per
+    configuration and is per-unit — only the context's pure transition
+    caches persist across units.
 
     Without symmetry reduction each configuration is its own class.  On
     a symmetry-reducing context the class is the canonical form under
@@ -741,19 +782,19 @@ def _explore_unit(
     configurations — that is the reduction.
     """
     report = ExplorationReport()
-    best_depth: Dict[int, int] = {}
     canon_key = ctx.canon_key
 
     # Pass 1: walk the prefix, recording the path and whether each step
     # took the least viable index (the ownership rule needs the suffix).
-    config = ctx.root
-    path: List[_Config] = []
+    undecided_of = ctx._undecided
+    row = ctx.root
+    path: List[int] = []
     least_viable: List[bool] = []
     for index in prefix:
-        path.append(config)
-        undecided = config.undecided
+        path.append(row)
+        undecided = undecided_of[row]
         least_viable.append(bool(undecided) and index == undecided[0])
-        config = ctx.child(config, index)
+        row = ctx.child(row, index)
     owned_from = len(prefix)
     for flag in reversed(least_viable):
         if not flag:
@@ -762,17 +803,23 @@ def _explore_unit(
 
     # Pass 2: seed the memo with the path configurations and check the
     # owned interior ones (in path order, same count/check/budget
-    # sequence as the frontier loop below).
-    for depth, p_config in enumerate(path):
-        memo_key = canon_key(p_config)
-        if memo_key in best_depth:
+    # sequence as the frontier loop below).  The memo is a list indexed
+    # by class, one slot per class the context knows (classes are
+    # numbered densely from 0, one new class at most per step), grown
+    # in blocks as interning adds classes.
+    canon = ctx._canon
+    limit = len(ctx._classes) if ctx.symmetry else len(canon)
+    best_depth = [_UNSEEN] * limit
+    for depth, p_row in enumerate(path):
+        memo_key = canon_key(p_row)
+        if best_depth[memo_key] != _UNSEEN:
             continue
         best_depth[memo_key] = depth
         if depth < owned_from:
             continue
         report.configurations += 1
         stop = _check_node(
-            report, ctx, p_config, prefix[:depth], None,
+            report, ctx, p_row, prefix[:depth], None,
             stop_at_first_violation,
         )
         if stop:
@@ -791,61 +838,62 @@ def _explore_unit(
     # Frontier entries carry their memo key, so a node's canonical class
     # is read once, at push time; the tallies live in locals and are
     # written back after the loop.
-    frontier: List[Tuple[_Config, int, int, Optional[Tuple]]] = [
-        (config, canon_key(config), len(prefix), None)
+    frontier: List[Tuple[int, int, int, Optional[Tuple]]] = [
+        (row, canon_key(row), len(prefix), None)
     ]
-    child = ctx.child
-    best_get = best_depth.get
-    unexpanded = (None,) * len(ctx.inputs)
+    horizon = _UNSEEN if max_steps is None else max_steps
+    step = ctx._step
+    decided_of = ctx._decided
+    verdicts = ctx._verdicts
+    succ = ctx._succ
     configurations = report.configurations
     fully_decided = report.fully_decided
     while frontier:
-        config, memo_key, depth, tail = frontier.pop()
-        prior = best_get(memo_key)
-        if prior is not None and depth >= prior:
+        row, memo_key, depth, tail = frontier.pop()
+        prior = best_depth[memo_key]
+        if depth >= prior:
             continue
         best_depth[memo_key] = depth
-        if prior is None:
+        if prior == _UNSEEN:
             configurations += 1
 
-        # A cached verdict of [] is the common decided case: no call.
-        if config.decided and config.check_cache != []:
+        # A cached verdict of () is the common decided case: no call.
+        if decided_of[row] and verdicts[row] != ():
             if _check_node(
-                report, ctx, config, prefix, tail, stop_at_first_violation
+                report, ctx, row, prefix, tail, stop_at_first_violation
             ):
                 break
-        undecided = config.undecided
-        if not undecided and prior is None:
+        undecided = undecided_of[row]
+        if not undecided and prior == _UNSEEN:
             fully_decided += 1
         if configurations >= max_configs:
             report.truncated = True
             break
         if not undecided:
             continue
-        if max_steps is not None and depth >= max_steps:
+        if depth >= horizon:
             report.truncated = True
             continue
 
-        # A node never expanded has no successor list yet; child()
-        # allocates it on the first miss.
-        succ = config.succ or unexpanded
         next_depth = depth + 1
         for index in undecided:
             # Inlined successor-cache hit: after the first expansion of
-            # this configuration every edge is a plain list index, not a
-            # method call (child() re-checks the same slot on a miss).
-            nxt = succ[index]
+            # this configuration every edge is two list subscripts, not
+            # a method call.
+            nxt = succ[index][row]
             if nxt is None:
-                nxt = child(config, index)
-            key = nxt.canon
-            if key is None:
-                key = canon_key(nxt)
+                nxt = step(row, index)
+                key = canon[nxt]
+                if key >= limit:
+                    best_depth.extend(_UNSEEN_CHUNK)
+                    limit += len(_UNSEEN_CHUNK)
+            else:
+                key = canon[nxt]
             # Push-time pruning: best_depth only ever decreases, so a
             # child already expanded this shallow (or shallower) would
             # be discarded at pop time anyway — dropping it here skips
             # the frontier churn without changing any report field.
-            prior = best_get(key)
-            if prior is not None and next_depth >= prior:
+            if next_depth >= best_depth[key]:
                 continue
             frontier.append((nxt, key, next_depth, (tail, index)))
     report.configurations = configurations
@@ -991,15 +1039,14 @@ def check_obstruction_freedom(
     violations = []
     ctx = ExplorationContext(protocol, inputs)
     for schedule in sample_schedules:
-        check_schedule(protocol, len(inputs), schedule)
-        config = ctx.replay(schedule)
+        row = ctx.replay(schedule)
         for index in range(len(inputs)):
-            if index in config.decided:
+            if index in ctx.decided_of(row):
                 continue
             try:
                 _state, _mem, _pending, decision = solo_run(
-                    protocol, ctx.states_of(config)[index],
-                    ctx.memory_of(config), max_steps=solo_budget,
+                    protocol, ctx.states_of(row)[index],
+                    ctx.memory_of(row), max_steps=solo_budget,
                 )
             except DivergenceError:
                 violations.append(

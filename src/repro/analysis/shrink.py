@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.analysis.explore import ExplorationContext
+from repro.analysis.explore import ExplorationContext, _check_context
 from repro.protocols.base import Protocol
 
 
@@ -30,19 +30,21 @@ def replay_schedule(
 
     Replays go through an :class:`~repro.analysis.explore.ExplorationContext`
     so repeated replays (shrinking, fuzz campaigns) share transition
-    caches; pass ``context`` to reuse one across calls — it must have
-    been built for the same ``(protocol, inputs)``.  Decisions with a
-    ``None`` payload are not reported (they are "undecided" to a task
-    checker), matching the direct-replay semantics this function always
-    had.
+    caches; pass ``context`` to reuse one across calls — one built for
+    another protocol or inputs is a :class:`~repro.errors.ValidationError`,
+    as is a schedule entry outside ``range(len(inputs))``.  Decisions
+    with a ``None`` payload are not reported (they are "undecided" to a
+    task checker), matching the direct-replay semantics this function
+    always had.
     """
+    if context is not None:
+        _check_context(context, protocol, inputs)
     ctx = context if context is not None else ExplorationContext(
         protocol, inputs
     )
-    config = ctx.replay(schedule)
     return {
         index: value
-        for index, value in config.decided.items()
+        for index, value in ctx.decided_of(ctx.replay(schedule)).items()
         if value is not None
     }
 
@@ -54,7 +56,10 @@ def violates(
     schedule: Sequence[int],
     context: Optional[ExplorationContext] = None,
 ) -> bool:
-    """Does replaying ``schedule`` produce a task violation?"""
+    """Does replaying ``schedule`` produce a task violation?
+
+    ``context`` is checked as in :func:`replay_schedule`.
+    """
     return bool(
         task.check(
             list(inputs),
@@ -86,8 +91,12 @@ def shrink_schedule(
 
     Raises ``ValueError`` if the input schedule does not violate.  All
     replays share one exploration context (``context`` or a fresh one),
-    so candidate schedules re-walk cached transitions.
+    so candidate schedules re-walk cached transitions; a supplied one
+    built for another protocol or inputs is a
+    :class:`~repro.errors.ValidationError`.
     """
+    if context is not None:
+        _check_context(context, protocol, inputs)
     current = list(schedule)
     replays = 0
     ctx = context if context is not None else ExplorationContext(

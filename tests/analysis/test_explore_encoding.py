@@ -3,7 +3,7 @@ canonical classes.
 
 * a configuration's intern key packs its state ids, then its memory ids,
   ``_SLOT_BITS`` bits per slot, so it is injective: configurations that
-  a narrower memory shift would merge stay distinct nodes;
+  a narrower memory shift would merge stay distinct rows;
 * :meth:`ExplorationContext.canon_key` hands out one small int per
   canonical form: two configurations of one context share it exactly
   when their sorted state multisets and memories are equal (symmetry
@@ -77,29 +77,30 @@ class TestPackedKey:
         b = ctx._intern_scan((0, 2), (1, 3))
         narrow = explore._SLOT_BITS * (len(ctx.inputs) - 1)
 
-        def narrow_key(config):
-            return explore._pack(config.sids) | (config.mkey << narrow)
+        def narrow_key(row):
+            return explore._pack(ctx._sids[row]) | (ctx._mkeys[row] << narrow)
 
         assert narrow_key(a) == narrow_key(b)
-        assert a is not b
-        assert a.key != b.key
+        assert a != b
+        assert ctx._keys[a] != ctx._keys[b]
         assert ctx.states_of(a) != ctx.states_of(b)
-        assert ctx._intern_scan((0, 1), (2, 3)) is a
+        assert ctx._intern_scan((0, 1), (2, 3)) == a
 
     def test_key_unpacks_to_state_then_memory_ids(self):
         """Every interned key, root and children alike (children derive
         theirs by shifted deltas), is the slot-wise packing of its state
-        ids followed by its memory ids, and no two nodes share one."""
+        ids followed by its memory ids, and no two rows share one."""
         protocol = RacingConsensus(3)
         ctx = explored_context(protocol, [0, 1, 2], 2, 10, False)
-        configs = list(ctx._configs.values())
-        assert len(configs) > 1_000
-        for config in configs:
-            width = len(config.sids) + len(config.mids)
-            assert slots(config.key, width) == config.sids + config.mids
-            assert config.key == explore._pack(config.sids + config.mids)
-            assert ctx._configs[config.key] is config
-        assert len({config.key for config in configs}) == len(configs)
+        rows = list(ctx._rows.values())
+        assert len(rows) > 1_000
+        assert sorted(rows) == list(range(len(ctx._keys)))
+        for row in rows:
+            key, ids = ctx._keys[row], ctx._sids[row] + ctx._mids[row]
+            assert slots(key, len(ids)) == ids
+            assert key == explore._pack(ids)
+            assert ctx._rows[key] == row
+        assert len(set(ctx._keys)) == len(rows)
 
 
 class TestCanonicalClasses:
@@ -108,23 +109,22 @@ class TestCanonicalClasses:
         ctx = explored_context(protocol, [0, 1, 1, 1], 2, 9, True)
         assert ctx.symmetry
         by_form, by_id = {}, {}
-        for config in ctx._configs.values():
+        for row in ctx._rows.values():
             form = (
-                frozenset(Counter(ctx.states_of(config)).items()),
-                ctx.memory_of(config),
+                frozenset(Counter(ctx.states_of(row)).items()),
+                ctx.memory_of(row),
             )
-            canon = ctx.canon_key(config)
+            canon = ctx.canon_key(row)
             assert isinstance(canon, int)
-            assert config.canon == canon
             assert by_form.setdefault(form, canon) == canon
             assert by_id.setdefault(canon, form) == form
         # Reduction happened: fewer classes than configurations.
-        assert len(by_id) < len(ctx._configs)
+        assert len(by_id) < len(ctx._rows)
         assert sorted(by_id) == list(range(len(by_id)))
 
     def test_without_reduction_every_configuration_is_its_own_class(self):
         protocol = AnonymousSweepConsensus(3, m=2)
         ctx = explored_context(protocol, [0, 1, 1], 2, 8, False)
         assert not ctx.symmetry
-        classes = [ctx.canon_key(c) for c in ctx._configs.values()]
-        assert sorted(classes) == list(range(len(ctx._configs)))
+        classes = [ctx.canon_key(row) for row in ctx._rows.values()]
+        assert sorted(classes) == list(range(len(ctx._rows)))

@@ -123,13 +123,13 @@ class TestCanonicalKey:
             protocol, [0, 1], KSetAgreementTask(1), symmetry=True
         )
         # Intern the exact process permutation of a reachable
-        # configuration: a distinct node (different states tuple) that
+        # configuration: a distinct row (different states tuple) that
         # must share its canonical key.
         a = ctx.child(ctx.child(ctx.root, 0), 1)
         states = ctx.states_of(a)
         b = ctx._intern_scan((states[1], states[0]), ctx.memory_of(a))
         assert states != ctx.states_of(b)
-        assert a is not b
+        assert a != b
         assert ctx.canon_key(a) == ctx.canon_key(b)
 
     def test_distinct_memory_distinct_key(self):
