@@ -372,9 +372,26 @@ class ExplorationContext:
             self._poised_ids[sid] = entry
         return entry
 
+    def _check_row(self, row: int) -> None:
+        """Reject a row this context never interned, by name.
+
+        Row ids index plain lists, so without this a negative row would
+        silently read the row counted from the end of the tables.  The
+        public accessors call it; the explorer's own loops, which only
+        hold rows the context returned, read the tables directly.
+        """
+        if not 0 <= row < len(self._keys):
+            raise ValidationError(
+                f"{self.protocol.name}: configuration row {row} out of "
+                f"range for {len(self._keys)} rows"
+            )
+
     def states_of(self, row: int) -> Tuple:
         """The configuration's raw state tuple (materialized lazily: the
-        hot path runs on slot ids)."""
+        hot path runs on slot ids).  A row this context never interned
+        is a :class:`~repro.errors.ValidationError`, as on every row
+        accessor."""
+        self._check_row(row)
         states = self._states.get(row)
         if states is None:
             values = self._values
@@ -384,8 +401,13 @@ class ExplorationContext:
         return states
 
     def memory_of(self, row: int) -> Tuple:
-        """The configuration's raw memory tuple (lazy, like
+        """The configuration's raw memory tuple (lazy and checked, like
         :meth:`states_of`)."""
+        self._check_row(row)
+        return self._memory_of(row)
+
+    def _memory_of(self, row: int) -> Tuple:
+        """:meth:`memory_of` without the row check, for the stepper."""
         mkey = self._mkeys[row]
         memory = self._memory.get(mkey)
         if memory is None:
@@ -399,6 +421,7 @@ class ExplorationContext:
         """The configuration's decisions: decided process index -> DECIDE
         payload, in ascending index order.  Shared with other rows;
         treat it as immutable."""
+        self._check_row(row)
         return self._decided[row]
 
     def canon_key(self, row: int) -> int:
@@ -414,6 +437,7 @@ class ExplorationContext:
         row id itself.  Classes are numbered densely from 0, so the
         per-unit depth memo is a list indexed by class.
         """
+        self._check_row(row)
         return self._canon[row]
 
     def _add_row(
@@ -487,7 +511,8 @@ class ExplorationContext:
         addition per step) without hashing or allocating any wide tuple.
         An ``index`` outside ``range(len(inputs))`` is a
         :class:`~repro.errors.ValidationError` (a negative one would
-        otherwise read another process's successor).
+        otherwise read another process's successor), and so is a
+        ``parent`` row this context never interned.
         """
         width = self._width
         if not 0 <= index < width:
@@ -495,6 +520,7 @@ class ExplorationContext:
                 f"{self.protocol.name}: process index {index} out of "
                 f"range for {width} processes"
             )
+        self._check_row(parent)
         cached = self._succ[index][parent]
         if cached is not None:
             return cached
@@ -522,7 +548,7 @@ class ExplorationContext:
             new_sid = by_memory.get(mkey, _MISSING)
             if new_sid is _MISSING:
                 new_sid = self._id(self.protocol.advance(
-                    self._values[sid], self.memory_of(parent)
+                    self._values[sid], self._memory_of(parent)
                 ))
                 by_memory[mkey] = new_sid
         else:
@@ -605,8 +631,14 @@ class ExplorationContext:
 
         Cached per row; the empty verdict is the shared ``()``.  Valid
         because ``task.check`` is pure and must not mutate its
-        arguments (the decided map is shared between rows).
+        arguments (the decided map is shared between rows).  A row this
+        context never interned is a :class:`~repro.errors.ValidationError`.
         """
+        self._check_row(row)
+        return self._verdict(row)
+
+    def _verdict(self, row: int) -> Tuple[str, ...]:
+        """:meth:`check` without the row check, for the explorer."""
         found = self._verdicts[row]
         if found is None:
             found = self._verdicts[row] = tuple(
@@ -737,7 +769,7 @@ def _check_node(
     """
     if not ctx._decided[row]:
         return False
-    found = ctx.check(row)
+    found = ctx._verdict(row)
     if not found:
         return False
     for violation in found:
@@ -782,7 +814,7 @@ def _explore_unit(
     configurations — that is the reduction.
     """
     report = ExplorationReport()
-    canon_key = ctx.canon_key
+    canon = ctx._canon
 
     # Pass 1: walk the prefix, recording the path and whether each step
     # took the least viable index (the ownership rule needs the suffix).
@@ -807,11 +839,10 @@ def _explore_unit(
     # by class, one slot per class the context knows (classes are
     # numbered densely from 0, one new class at most per step), grown
     # in blocks as interning adds classes.
-    canon = ctx._canon
     limit = len(ctx._classes) if ctx.symmetry else len(canon)
     best_depth = [_UNSEEN] * limit
     for depth, p_row in enumerate(path):
-        memo_key = canon_key(p_row)
+        memo_key = canon[p_row]
         if best_depth[memo_key] != _UNSEEN:
             continue
         best_depth[memo_key] = depth
@@ -839,7 +870,7 @@ def _explore_unit(
     # is read once, at push time; the tallies live in locals and are
     # written back after the loop.
     frontier: List[Tuple[int, int, int, Optional[Tuple]]] = [
-        (row, canon_key(row), len(prefix), None)
+        (row, canon[row], len(prefix), None)
     ]
     horizon = _UNSEEN if max_steps is None else max_steps
     step = ctx._step

@@ -18,70 +18,7 @@ from repro.protocols import (
     TruncatedProtocol,
 )
 from repro.protocols.base import DECIDE, SCAN, UPDATE, Protocol
-
-
-class DiamondTrap(Protocol):
-    """Regression gadget for the depth-memoization soundness bug.
-
-    The configuration after p0's first update is reachable both by the
-    one-step schedule ``[0]`` and by the three-step diamond ``[1, 0, 1]``
-    (p1's idle scan/update round-trips through component 1 without
-    changing it).  Under ``max_steps=3``, DFS reaches that configuration
-    first at depth 3 — already at the horizon, so its subtree (where p1
-    observes "go", arms, and decides 999 against p0's input 0) is cut
-    off.  The later depth-1 arrival via ``[0]`` must re-expand it to find
-    the violation; a memo on ``(states, memory)`` alone prunes it and
-    reports safe.
-    """
-
-    n, m, name = 2, 2, "diamond-trap"
-
-    def initial_state(self, index, value):
-        return ("p0", 0, value) if index == 0 else ("p1", "idle-scan")
-
-    def poised(self, state):
-        if state[0] == "p0":
-            steps = [(UPDATE, (0, "go")), (SCAN, None), (DECIDE, state[2])]
-            return steps[min(state[1], 2)]
-        phase = state[1]
-        if phase == "idle-scan":
-            return (SCAN, None)
-        if phase == "idle-upd":
-            return (UPDATE, (1, None))
-        if phase == "armed":
-            return (UPDATE, (1, "bomb"))
-        return (DECIDE, 999)
-
-    def advance(self, state, observation=None):
-        if state[0] == "p0":
-            return ("p0", state[1] + 1, state[2])
-        phase = state[1]
-        if phase == "idle-scan":
-            if observation[0] == "go":
-                return ("p1", "armed")
-            return ("p1", "idle-upd")
-        if phase == "idle-upd":
-            return ("p1", "idle-scan")
-        return ("p1", "fire")
-
-
-class LastConfigBad(Protocol):
-    """Regression gadget for the budget off-by-one: the single successor
-    configuration (where the lone process decides a non-input) is the
-    ``max_configs``-th one counted, and must still be safety-checked."""
-
-    n, m, name = 1, 1, "last-config-bad"
-
-    def initial_state(self, index, value):
-        return "start"
-
-    def poised(self, state):
-        if state == "start":
-            return (UPDATE, (0, "x"))
-        return (DECIDE, 999)
-
-    def advance(self, state, observation=None):
-        return "done"
+from tests.gadgets import DiamondTrap, LastConfigBad
 
 
 class TestDepthMemoizationRegression:

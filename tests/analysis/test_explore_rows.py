@@ -1,7 +1,8 @@
 """The explorer's configurations are int rows of flat tables.
 
 * schedule entries outside ``range(len(inputs))`` are rejected by name
-  on every replay path, even once the root's successors are cached;
+  on every replay path, even once the root's successors are cached, and
+  so is a row the context never interned, on every row accessor;
 * the shrinker's entry points reject a context built for another
   protocol or inputs instead of replaying the wrong system;
 * exploring, fuzzing and replaying leave no reference cycle behind: with
@@ -50,6 +51,32 @@ class TestScheduleEntries:
         ctx.child(ctx.root, 2)
         with pytest.raises(ValidationError, match=f"index {entry}"):
             ctx.child(ctx.root, entry)
+
+    @pytest.mark.parametrize("accessor", [
+        "states_of", "memory_of", "decided_of", "canon_key", "check",
+        "child",
+    ])
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=[
+        "negative", "one-past-the-end", "far-past-the-end",
+    ])
+    def test_row_accessors_reject_a_row_never_interned(
+        self, accessor, offset
+    ):
+        """A negative row would read a row counted from the end of the
+        tables (``decided_of(-1)`` was the newest row's decisions)."""
+        ctx = ExplorationContext(
+            RacingConsensus(3), (0, 1, 2), KSetAgreementTask(1)
+        )
+        ctx.replay([0] * 30)
+        rows = len(ctx._keys)
+        row = -1 if offset < 0 else rows + offset * 1000
+        call = getattr(ctx, accessor)
+        args = (row, 0) if accessor == "child" else (row,)
+        with pytest.raises(
+            ValidationError,
+            match=rf"configuration row {row} out of range for {rows} rows",
+        ):
+            call(*args)
 
     def test_replay_schedule_rejects_a_negative_entry(self):
         with pytest.raises(ValidationError, match="schedule entry -1"):

@@ -25,37 +25,17 @@ from repro.protocols import (
     CASConsensus,
     KSetAgreementTask,
     LargeRegisterEmulation,
-    MinSeen,
-    RacingConsensus,
     RegularRegisterTask,
     SwapConsensus,
     TASConsensus,
-    TruncatedProtocol,
 )
-from repro.protocols.base import DECIDE, RMW, SCAN, UPDATE, Protocol
 from tests.analysis.reference_explore import (
-    reference_explore_prefix_range,
     reference_explore_protocol,
     reference_schedule_prefixes,
 )
-from tests.analysis.test_explore import DiamondTrap, LastConfigBad
+from tests.gadgets import EXPLORE_CORPUS, SwapThenWrite
 
-# (protocol factory, inputs, task, bounds) — the bounds exercise the
-# horizon, the configuration budget, and the unbounded cases.
-CASES = [
-    (lambda: TruncatedProtocol(RacingConsensus(3), 1), [0, 1, 2],
-     KSetAgreementTask(1), dict(max_configs=100_000, max_steps=20)),
-    (lambda: RacingConsensus(2), [0, 1],
-     KSetAgreementTask(1), dict(max_configs=50_000, max_steps=14)),
-    (lambda: MinSeen(2), [0, 1],
-     KSetAgreementTask(2), dict(max_configs=100_000, max_steps=None)),
-    (lambda: DiamondTrap(), [0, 1],
-     KSetAgreementTask(1), dict(max_configs=200_000, max_steps=3)),
-    (lambda: DiamondTrap(), [0, 1],
-     KSetAgreementTask(1), dict(max_configs=200_000, max_steps=2)),
-    (lambda: LastConfigBad(), [0],
-     KSetAgreementTask(1), dict(max_configs=2, max_steps=None)),
-]
+CASES = EXPLORE_CORPUS
 
 
 def assert_reports_identical(optimized, reference):
@@ -133,45 +113,6 @@ class TestShardedDifferential:
             )
             merged = shard if merged is None else merged.merge(shard)
         assert_reports_identical(merged, reference)
-
-
-class SwapThenWrite(Protocol):
-    """Gadget mixing an RMW step with updates and scans.
-
-    Each process swaps its input through shared component 0 (so the
-    second swapper's RMW lands on an already-written component — the
-    cache-sensitive case for the explorer's RMW successor table), posts
-    what it got back to its own component, scans, and decides what it
-    sees in component 0.
-    """
-
-    def __init__(self, n: int = 2) -> None:
-        self.n = n
-        self.m = 1 + n
-        self.name = f"swap-then-write(n={n})"
-
-    def initial_state(self, index, value):
-        self.check_index(index)
-        return ("swap", index, value)
-
-    def poised(self, state):
-        phase, index, value = state
-        if phase == "swap":
-            return (RMW, (0, "swap", (value,)))
-        if phase == "write":
-            return (UPDATE, (1 + index, value))
-        if phase == "scan":
-            return (SCAN, None)
-        return (DECIDE, value)
-
-    def advance(self, state, observation=None):
-        phase, index, value = state
-        if phase == "swap":
-            taken = value if observation is None else observation
-            return ("write", index, taken)
-        if phase == "write":
-            return ("scan", index, value)
-        return ("done", index, observation[0])
 
 
 # The RMW base-object families: the reference steps them with the

@@ -30,9 +30,7 @@ from repro.core.bg import run_bg_simulation
 from repro.core.sweep import sweep_protocol
 from repro.errors import ProtocolError
 from repro.protocols import (
-    DECIDE,
     KSetAgreementTask,
-    Protocol,
     TASConsensus,
     TruncatedProtocol,
     seeded_run,
@@ -40,6 +38,7 @@ from repro.protocols import (
 )
 from repro.protocols.scenarios import SCENARIOS
 from repro.runtime import RoundRobinScheduler
+from tests.gadgets import FetchAndAdd
 
 
 def random_schedules(processes, seed, count=12, longest=24):
@@ -64,32 +63,6 @@ def test_replay_matches_the_packed_explorer(name):
                 assert replay_steps(protocol, inputs, prefix) == (
                     ctx.states_of(config), ctx.memory_of(config)
                 ), (name, prefix)
-
-
-class FetchAndAdd(Protocol):
-    """Poised for a base-object kind no stepper knows.
-
-    The payload has the shape of an update's, so a stepper that treats
-    every unknown kind as an update misreads it silently.
-    """
-
-    def __init__(self):
-        self.n = 2
-        self.m = 1
-        self.name = "fetch-and-add-gadget"
-
-    def initial_state(self, index, value):
-        self.check_index(index)
-        return ("add", value)
-
-    def poised(self, state):
-        phase, value = state
-        if phase == "add":
-            return ("fetch_and_add", (0, 1))
-        return (DECIDE, value)
-
-    def advance(self, state, observation=None):
-        return ("done", state[1])
 
 
 @pytest.mark.parametrize("drive", [

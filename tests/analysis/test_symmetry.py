@@ -4,8 +4,8 @@ Three layers of guarantees:
 
 * the packed configuration encoding is pure key encoding — the explorer
   produces reports byte-identical to the frozen reference explorer
-  across this corpus (which adds the anonymous protocols to the
-  reference suite's), serially and sharded;
+  across this corpus (``tests.gadgets.EXPLORE_CORPUS`` plus the
+  anonymous protocols), serially and sharded;
 * symmetry reduction keeps the differential contract: identical reports
   for identity-group protocols (the reduction must be inert), and for
   full-symmetric protocols the same safe/unsafe verdict with a
@@ -28,27 +28,14 @@ from repro.errors import ValidationError
 from repro.protocols import (
     AnonymousSweepConsensus,
     KSetAgreementTask,
-    MinSeen,
     RacingConsensus,
-    TruncatedProtocol,
 )
 from repro.protocols.base import SYMMETRY_FULL, SYMMETRY_IDENTITY, Protocol
 from tests.analysis.reference_explore import reference_explore_protocol
-from tests.analysis.test_explore import DiamondTrap, LastConfigBad
+from tests.gadgets import EXPLORE_CORPUS
 
-CASES = [
-    (lambda: TruncatedProtocol(RacingConsensus(3), 1), [0, 1, 2],
-     KSetAgreementTask(1), dict(max_configs=100_000, max_steps=20)),
-    (lambda: RacingConsensus(2), [0, 1],
-     KSetAgreementTask(1), dict(max_configs=50_000, max_steps=14)),
-    (lambda: MinSeen(2), [0, 1],
-     KSetAgreementTask(2), dict(max_configs=100_000, max_steps=None)),
-    (lambda: DiamondTrap(), [0, 1],
-     KSetAgreementTask(1), dict(max_configs=200_000, max_steps=3)),
-    (lambda: DiamondTrap(), [0, 1],
-     KSetAgreementTask(1), dict(max_configs=200_000, max_steps=2)),
-    (lambda: LastConfigBad(), [0],
-     KSetAgreementTask(1), dict(max_configs=2, max_steps=None)),
+#: The packed-vs-reference corpus plus the anonymous protocols.
+CASES = EXPLORE_CORPUS + [
     (lambda: AnonymousSweepConsensus(2, m=2), [0, 1],
      KSetAgreementTask(1), dict(max_configs=100_000, max_steps=10)),
     (lambda: AnonymousSweepConsensus(2, m=2, decision_round=1), [0, 1],

@@ -24,7 +24,7 @@ from repro.protocols import (
 from repro.protocols.base import decided_values, protocol_body
 from repro.runtime.replay import replay_run
 from repro.runtime.system import System
-from tests.analysis.test_explore import DiamondTrap, LastConfigBad
+from tests.gadgets import DiamondTrap, LastConfigBad
 
 CASES = [
     (lambda: TruncatedProtocol(RacingConsensus(3), 1), [0, 1, 2],

@@ -5,8 +5,10 @@ are differential: drive a campaign chunk-by-chunk (with failures and
 retries, across a simulated crash) and demand the finalized
 :class:`~repro.campaign.engine.CampaignResult` match what
 ``run_campaign`` produces for the same job.  In-order and out-of-order
-drains over the whole differential grid, against the serial harness,
-live in ``test_differential.py``.
+drains over the sweep and fuzz grids, against the serial harness, live
+in ``test_differential.py``; a reverse-order drain of every registry
+target is the differential matrix's ``pump-reversed`` column
+(``tests/test_matrix.py``).
 """
 
 import pytest

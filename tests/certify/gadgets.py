@@ -7,8 +7,7 @@ constructor call, exactly as it does for the built-in zoo.
 """
 
 from repro.certify.registry import register_protocol
-from tests.analysis.test_explore import DiamondTrap
-from tests.analysis.test_reference_differential import SwapThenWrite
+from tests.gadgets import DiamondTrap, SwapThenWrite
 
 
 def register_gadgets() -> None:

@@ -32,7 +32,8 @@ from repro.certify.verify import (
     verify,
 )
 from repro.protocols import KSetAgreementTask, SwapConsensus
-from tests.certify.gadgets import SwapThenWrite, register_gadgets
+from tests.certify.gadgets import register_gadgets
+from tests.gadgets import SwapThenWrite
 
 register_gadgets()
 

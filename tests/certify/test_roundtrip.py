@@ -26,8 +26,8 @@ from repro.protocols import (
     RacingConsensus,
     TruncatedProtocol,
 )
-from tests.analysis.test_explore import DiamondTrap
 from tests.certify.gadgets import register_gadgets
+from tests.gadgets import DiamondTrap
 
 register_gadgets()
 

@@ -27,7 +27,7 @@ from repro.protocols import (
 )
 from repro.protocols.scenarios import SCENARIOS, SWEEPS, falsify_target
 from repro.runtime import RandomScheduler
-from tests.analysis.test_step_semantics import FetchAndAdd
+from tests.gadgets import FetchAndAdd
 
 SEEDS = range(60)
 
