@@ -201,8 +201,9 @@ def _check_usage(args) -> int:
 
     Size flags must reach their subcommand's ``size_floors``
     (destination -> smallest legal value; ``None``, i.e. auto, is always
-    legal), declared with ``set_defaults``; a bare ``--resume`` needs
-    ``--checkpoint PATH``.  Returns 2 after a one-line error, else 0.
+    legal), declared with ``set_defaults``; ``--x`` may not exceed
+    ``--k``; a bare ``--resume`` needs ``--checkpoint PATH``.  Returns 2
+    after a one-line error, else 0.
     """
     for dest, floor in getattr(args, "size_floors", {}).items():
         value = getattr(args, dest)
@@ -211,6 +212,10 @@ def _check_usage(args) -> int:
             print(f"error: {flag} must be >= {floor}, got {value}",
                   file=sys.stderr)
             return 2
+    if getattr(args, "x", None) is not None and args.x > args.k:
+        print(f"error: --x must be <= --k ({args.k}), got {args.x}",
+              file=sys.stderr)
+        return 2
     if getattr(args, "resume", None) == "" and args.checkpoint is None:
         print("error: --resume needs a path (or combine with "
               "--checkpoint PATH)", file=sys.stderr)
@@ -492,19 +497,21 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--x", type=int, default=1)
     simulate.add_argument("--m", type=int, default=3)
     simulate.add_argument("--seed", type=int, default=0)
-    simulate.set_defaults(func=cmd_simulate)
+    simulate.set_defaults(func=cmd_simulate,
+                          size_floors=dict(k=1, x=1, m=1))
 
     falsify = sub.add_parser("falsify", help="falsify below the bound")
     falsify.add_argument("--k", type=int, default=1)
     falsify.add_argument("--x", type=int, default=1)
     falsify.add_argument("--m", type=int, default=1)
     falsify.add_argument("--runs", type=int, default=10)
-    falsify.set_defaults(func=cmd_falsify)
+    falsify.set_defaults(func=cmd_falsify,
+                         size_floors=dict(k=1, x=1, m=1, runs=0))
 
     approx = sub.add_parser("approx", help="Appendix D reduction")
     approx.add_argument("--m", type=int, default=2)
     approx.add_argument("--eps-exp", type=int, default=16)
-    approx.set_defaults(func=cmd_approx)
+    approx.set_defaults(func=cmd_approx, size_floors=dict(m=1, eps_exp=1))
 
     check = sub.add_parser("check", help="Appendix B lemma checks")
     check.add_argument("--seed", type=int, default=0)

@@ -12,8 +12,9 @@ in this reproduction.  This package is their one harness:
   tables, built untimed after the repeats, printed after each
   experiment's telemetry line;
 * :mod:`repro.bench.schema` — the artifact format and its validation;
-* :mod:`repro.bench.compare` — ``repro bench compare``: the noise-aware
-  baseline regression gate CI runs (see docs/BENCHMARKS.md).
+* :mod:`repro.bench.compare` — ``repro bench compare``: the baseline
+  gate CI runs, exact on work and noise-aware on wall time (see
+  docs/BENCHMARKS.md).
 
 Campaign-backed experiments (E4, E13–E17) execute through
 :mod:`repro.campaign` on one in-process worker, so their artifacts

@@ -3,8 +3,8 @@
 ``repro bench list`` prints the experiment registry; ``repro bench run``
 measures experiments and writes ``BENCH_*.json`` artifacts; ``repro
 bench compare`` diffs a run against a baseline directory and exits
-nonzero on a regression or a missing experiment, which is what CI uses
-as its perf gate.
+nonzero on an incomparable pair (different work), a regression or a
+missing experiment, which is what CI uses as its perf gate.
 
 Exit codes: 0 success / gate passed; 1 gate failed; 2 usage error
 (bad arguments, unreadable or schema-incompatible artifacts).
@@ -58,7 +58,7 @@ def cmd_bench_run(args) -> int:
 
 def cmd_bench_compare(args) -> int:
     """``repro bench compare``: regression-gate a run against a baseline."""
-    from repro.bench.compare import compare_runs, mode_mismatch_warnings
+    from repro.bench.compare import compare_runs
 
     try:
         report = compare_runs(
@@ -67,14 +67,10 @@ def cmd_bench_compare(args) -> int:
             threshold=args.threshold,
             iqr_factor=args.iqr_factor,
             slowdown=args.slowdown,
-            require_faster=_split_selectors(args.require_faster),
         )
-        warnings = mode_mismatch_warnings(args.baseline, args.current)
     except (ValidationError, BenchSchemaError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    for warning in warnings:
-        print(warning, file=sys.stderr)
     if args.slowdown != 1.0:
         print(f"(injected slowdown x{args.slowdown} applied to the "
               f"current medians)")
@@ -137,12 +133,6 @@ def add_bench_parser(subparsers) -> None:
         "--slowdown", type=float, default=1.0,
         help="multiply current medians by this factor (CI self-test "
              "knob proving the gate trips)",
-    )
-    compare.add_argument(
-        "--require-faster", action="append", default=None, metavar="SEL",
-        help="experiments whose verdict must be 'faster' (E14, explore, "
-             "E14_explore; comma-separated or repeated); anything weaker "
-             "fails the gate",
     )
     compare.set_defaults(func=_cmd_bench_compare_defaults)
 

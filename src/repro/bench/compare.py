@@ -3,10 +3,13 @@
 :func:`compare_runs` matches current ``BENCH_*.json`` artifacts against
 a committed baseline directory and classifies each experiment:
 
+* ``incomparable`` — the two artifacts did different work: they differ
+  in ``mode``, in ``units``, or in a metric other than the
+  :data:`TIMING_DERIVED` ones (see :func:`work_difference`), so their
+  times say nothing about each other;
 * ``ok`` — current median within the allowance;
 * ``faster`` — current median beat the baseline by the threshold
-  (informational — unless the experiment is named by
-  ``require_faster``, which turns any weaker verdict into a failure);
+  (informational);
 * ``regression`` — current median exceeded the allowance;
 * ``missing`` — the baseline has an experiment the current run lacks
   (a silently-dropped benchmark must fail the gate);
@@ -19,16 +22,22 @@ The allowance is noise-aware: a regression requires
 
 where IQR is the larger of the two runs' inter-quartile ranges, so a
 jittery experiment needs a genuinely larger slowdown to trip the gate
-than a rock-steady one.  Schema-version mismatches surface as
+than a rock-steady one.  Work is gated exactly and wall time loosely:
+``incomparable``, ``regression`` and ``missing`` fail the gate.
+Schema-version mismatches surface as
 :class:`~repro.errors.BenchSchemaError` from artifact loading — they
 abort the comparison rather than producing a verdict.
+
+``cpu_count`` is not compared: campaign-backed payloads pin one
+in-process worker, and their ``engine_mode``/``engine_workers`` metrics
+already record the execution path.
 """
 
 from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.bench.schema import BenchArtifact, load_artifact_dir
 from repro.errors import ValidationError
@@ -40,31 +49,57 @@ DEFAULT_THRESHOLD = 1.5
 #: Default IQR multiplier in the noise allowance.
 DEFAULT_IQR_FACTOR = 2.0
 
+#: Metrics computed from wall time, so they differ on every run; every
+#: other metric records the work done or the execution path taken.
+TIMING_DERIVED = frozenset({"engine_utilization", "engine_runs_per_second"})
+
+
+def work_difference(
+    baseline: BenchArtifact, current: BenchArtifact
+) -> Optional[str]:
+    """The first field on which two artifacts measured different work.
+
+    Compares ``mode``, then ``units``, then every metric outside
+    :data:`TIMING_DERIVED` in name order (a metric only one side has
+    differs too), and returns e.g. ``"units 23385 != 23386"``; ``None``
+    when the two did the same work.
+    """
+    fields = [("mode", baseline.mode, current.mode),
+              ("units", baseline.units, current.units)]
+    names = (baseline.metrics.keys() | current.metrics.keys()) - TIMING_DERIVED
+    for name in sorted(names):
+        fields.append((name, baseline.metrics.get(name, "<absent>"),
+                       current.metrics.get(name, "<absent>")))
+    for name, before, after in fields:
+        if before != after:
+            return f"{name} {before} != {after}"
+    return None
+
 
 @dataclass(frozen=True)
 class Comparison:
     """Verdict for one experiment: baseline vs current medians."""
 
     artifact_name: str           # "E13_campaign"
-    status: str                  # ok | faster | regression | missing | new
+    #: incomparable | ok | faster | regression | missing | new
+    status: str
     baseline_median: Optional[float]
     current_median: Optional[float]
     allowance_seconds: Optional[float]
     ratio: Optional[float]
-    #: ``--require-faster`` marked this experiment: any verdict other
-    #: than ``faster`` fails the gate.
-    must_be_faster: bool = False
+    #: The :func:`work_difference` of an ``incomparable`` verdict.
+    difference: Optional[str] = None
 
     @property
     def failed(self) -> bool:
         """True when this verdict must fail the gate."""
-        if self.status in ("regression", "missing"):
-            return True
-        return self.must_be_faster and self.status != "faster"
+        return self.status in ("incomparable", "regression", "missing")
 
     def summary(self) -> str:
         """One aligned line for the comparison report."""
-        if self.status == "missing":
+        if self.status == "incomparable":
+            detail = f"different work: {self.difference}"
+        elif self.status == "missing":
             detail = "baseline experiment absent from the current run"
         elif self.status == "new":
             detail = "no baseline yet (commit one to start tracking)"
@@ -74,9 +109,7 @@ class Comparison:
                 f"({self.ratio:.2f}x, allowed <= "
                 f"{self.allowance_seconds:.3f}s)"
             )
-        if self.must_be_faster and self.status != "faster":
-            detail += "  [required: faster]"
-        return f"{self.status:>10}  {self.artifact_name:<24} {detail}"
+        return f"{self.status:>12}  {self.artifact_name:<24} {detail}"
 
 
 @dataclass(frozen=True)
@@ -89,7 +122,7 @@ class CompareReport:
 
     @property
     def failures(self) -> List[Comparison]:
-        """The verdicts that fail the gate (regressions and missing)."""
+        """The verdicts that fail the gate."""
         return [c for c in self.comparisons if c.failed]
 
     @property
@@ -118,17 +151,24 @@ def compare_artifacts(
     threshold: float = DEFAULT_THRESHOLD,
     iqr_factor: float = DEFAULT_IQR_FACTOR,
     slowdown: float = 1.0,
-    must_be_faster: bool = False,
 ) -> Comparison:
     """Compare one experiment's current artifact against its baseline.
 
-    ``slowdown`` multiplies the current median before the check — an
-    injected handicap used by CI to prove the gate actually trips (a
-    comparator that passes everything is worse than none).
-    ``must_be_faster`` marks the verdict as gate-failing unless it comes
-    out ``faster``.
+    Artifacts that did different work (:func:`work_difference`) are
+    ``incomparable`` before any time is looked at.  ``slowdown``
+    multiplies the current median before the check — an injected
+    handicap used by CI to prove the gate actually trips (a comparator
+    that passes everything is worse than none).
     """
     current_median = current.median_seconds * slowdown
+    difference = work_difference(baseline, current)
+    if difference is not None:
+        return Comparison(
+            artifact_name=baseline.artifact_name, status="incomparable",
+            baseline_median=baseline.median_seconds,
+            current_median=current_median, allowance_seconds=None,
+            ratio=None, difference=difference,
+        )
     noise = iqr_factor * max(baseline.iqr_seconds, current.iqr_seconds)
     allowance = baseline.median_seconds * threshold + noise
     ratio = (
@@ -149,14 +189,7 @@ def compare_artifacts(
         current_median=current_median,
         allowance_seconds=allowance,
         ratio=ratio,
-        must_be_faster=must_be_faster,
     )
-
-
-def _matches_selector(artifact_name: str, selector: str) -> bool:
-    """True when ``selector`` names this artifact (eid, name, or stem)."""
-    eid, _, name = artifact_name.partition("_")
-    return selector in (artifact_name, eid, name)
 
 
 def compare_runs(
@@ -165,17 +198,8 @@ def compare_runs(
     threshold: float = DEFAULT_THRESHOLD,
     iqr_factor: float = DEFAULT_IQR_FACTOR,
     slowdown: float = 1.0,
-    require_faster: Optional[List[str]] = None,
 ) -> CompareReport:
     """Compare every baseline experiment against the current run.
-
-    ``require_faster`` selects experiments (by eid like ``E14``, payload
-    name like ``explore``, or artifact stem like ``E14_explore``) whose
-    verdict must be ``faster`` — anything weaker fails the gate.  This
-    is how a PR that claims a speedup makes the claim enforceable
-    against the pre-change baselines.  A selector that matches no
-    baseline experiment is an error: a required speedup must not be
-    satisfiable by deleting the benchmark.
 
     Raises :class:`~repro.errors.ValidationError` when either directory
     holds no artifacts (an empty gate would vacuously pass), and
@@ -198,32 +222,20 @@ def compare_runs(
         raise ValidationError(
             f"no BENCH_*.json artifacts in current dir {current_dir}"
         )
-    required = list(require_faster or [])
-    for selector in required:
-        if not any(_matches_selector(name, selector) for name in baselines):
-            raise ValidationError(
-                f"--require-faster selector {selector!r} matches no "
-                f"baseline experiment"
-            )
     comparisons: List[Comparison] = []
     for name in sorted(baselines, key=_artifact_sort_key):
         baseline = baselines[name]
-        must_be_faster = any(
-            _matches_selector(name, selector) for selector in required
-        )
         current = currents.get(name)
         if current is None:
             comparisons.append(Comparison(
                 artifact_name=name, status="missing",
                 baseline_median=baseline.median_seconds,
                 current_median=None, allowance_seconds=None, ratio=None,
-                must_be_faster=must_be_faster,
             ))
             continue
         comparisons.append(compare_artifacts(
             baseline, current, threshold=threshold,
             iqr_factor=iqr_factor, slowdown=slowdown,
-            must_be_faster=must_be_faster,
         ))
     for name in sorted(set(currents) - set(baselines),
                        key=_artifact_sort_key):
@@ -244,33 +256,3 @@ def _artifact_sort_key(name: str):
         return (0, int(eid[1:]), name)
     return (1, 0, name)
 
-
-def _mode_mismatches(
-    baselines: Dict[str, BenchArtifact], currents: Dict[str, BenchArtifact]
-) -> List[str]:
-    """Artifact names measured in different modes (quick vs full)."""
-    return sorted(
-        name
-        for name in set(baselines) & set(currents)
-        if baselines[name].mode != currents[name].mode
-    )
-
-
-def mode_mismatch_warnings(
-    baseline_dir: Union[str, pathlib.Path],
-    current_dir: Union[str, pathlib.Path],
-) -> List[str]:
-    """Warnings for baseline/current pairs measured at different scales.
-
-    A quick-mode run compared against a full-mode baseline is not a
-    regression signal; the comparator still runs, but ``repro bench
-    compare`` prints these so the mismatch is visible.
-    """
-    return [
-        f"warning: {name} baseline and current were measured in "
-        f"different modes (quick vs full); the timing comparison is "
-        f"not meaningful"
-        for name in _mode_mismatches(
-            load_artifact_dir(baseline_dir), load_artifact_dir(current_dir)
-        )
-    ]

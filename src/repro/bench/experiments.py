@@ -1277,9 +1277,10 @@ def run_e16(quick: bool) -> PayloadResult:
     """E16: symmetry-reduced anonymous-sweep exploration.
 
     Units are *visited* (canonical) configurations, so units/second is
-    not comparable to E14 — the win shows up in wall time against the
-    unreduced ``baselines/pre_symmetry`` artifact, which explored the
-    same protocol instance (``symmetry=False``) without the reduction.
+    not comparable to E14.  The win is in the units themselves: the
+    quick run explores 23,246 classes where the same protocol instance
+    explored with ``symmetry=False`` visits 274,844, and the bench
+    gate pins the 23,246 exactly.
     Full mode tables both modes across n and asserts the collapse is
     superlinear: the unreduced/reduced ratio grows with every process.
     """

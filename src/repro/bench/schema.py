@@ -268,14 +268,21 @@ def load_artifact_dir(
     """Load every ``BENCH_*.json`` in a directory, keyed by artifact name.
 
     Raises :class:`~repro.errors.BenchSchemaError` if the directory does
-    not exist or any artifact in it fails schema validation (a corrupt
-    baseline must fail the gate, not silently shrink it).
+    not exist, any artifact in it fails schema validation (a corrupt
+    baseline must fail the gate, not silently shrink it), or two files
+    hold the same experiment (whichever sorted last would silently win).
     """
     root = pathlib.Path(directory)
     if not root.is_dir():
         raise BenchSchemaError(f"no such artifact directory: {root}")
     artifacts: Dict[str, BenchArtifact] = {}
+    paths: Dict[str, pathlib.Path] = {}
     for path in sorted(root.glob(f"{ARTIFACT_PREFIX}*.json")):
         artifact = load_artifact(path)
-        artifacts[artifact.artifact_name] = artifact
+        name = artifact.artifact_name
+        if name in paths:
+            raise BenchSchemaError(
+                f"{paths[name]} and {path} both hold experiment {name}"
+            )
+        artifacts[name], paths[name] = artifact, path
     return artifacts

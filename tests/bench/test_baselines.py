@@ -1,29 +1,23 @@
 """Quick payloads do exactly the work the committed baselines recorded.
 
-``repro bench compare`` gates wall time loosely (it must survive a
-change of machine); this pins the deterministic side exactly: each
-quick payload's work units and every metric must equal its
-``baselines/`` artifact's.  Only the two timing-derived engine metrics
-are left out.  A mismatch means the payload now does different work —
-or runs in a different execution mode — than its baseline measured.
+``repro bench compare`` gates work exactly and wall time loosely; this
+runs the work side of that gate without timing anything: each quick
+payload's work units and every metric outside the comparator's
+``TIMING_DERIVED`` set must equal its ``baselines/`` artifact's.  A
+mismatch means the payload now does different work — or runs in a
+different execution mode — than its baseline measured.
 """
 
+import dataclasses
 import pathlib
 
 import pytest
 
+from repro.bench.compare import work_difference
 from repro.bench.experiments import discover
 from repro.bench.schema import load_artifact_dir
 
 BASELINES = pathlib.Path(__file__).resolve().parents[2] / "baselines"
-
-#: Metrics computed from wall time, so they differ on every run.
-TIMING_DERIVED = {"engine_utilization", "engine_runs_per_second"}
-
-
-def deterministic(metrics):
-    """The metrics without the timing-derived ones."""
-    return {k: v for k, v in metrics.items() if k not in TIMING_DERIVED}
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +28,10 @@ def baselines():
 @pytest.mark.parametrize("experiment", discover(), ids=lambda e: e.eid)
 def test_quick_work_counts_match_baseline(experiment, baselines):
     baseline = baselines[experiment.artifact_name]
+    assert baseline.mode == "quick"
     result = experiment.run(quick=True)
-    assert result.units == baseline.units
-    assert deterministic(result.metrics) == deterministic(baseline.metrics)
+    current = dataclasses.replace(
+        baseline, units=result.units, metrics=result.metrics
+    )
+    assert work_difference(baseline, current) is None
     assert result.tables is None

@@ -8,7 +8,7 @@ from repro.bench.compare import (
     DEFAULT_THRESHOLD,
     compare_artifacts,
     compare_runs,
-    mode_mismatch_warnings,
+    work_difference,
 )
 from repro.bench.schema import (
     SCHEMA_VERSION,
@@ -18,7 +18,8 @@ from repro.bench.schema import (
 from repro.errors import BenchSchemaError, ValidationError
 
 
-def artifact(eid="E2", name="bounds", median=1.0, iqr=0.0, mode="quick"):
+def artifact(eid="E2", name="bounds", median=1.0, iqr=0.0, mode="quick",
+             units=10, **metrics):
     """Synthetic artifact with an exact median and IQR.
 
     Three equal samples give median == the sample and IQR 0; a spread is
@@ -29,7 +30,7 @@ def artifact(eid="E2", name="bounds", median=1.0, iqr=0.0, mode="quick"):
     samples = (median - iqr, median, median + iqr)
     built = BenchArtifact.from_samples(
         experiment=eid, name=name, title=f"{eid} synthetic", mode=mode,
-        units=10, warmup=0, samples_seconds=samples,
+        units=units, warmup=0, samples_seconds=samples, metrics=metrics,
     )
     assert built.median_seconds == pytest.approx(median)
     assert built.iqr_seconds == pytest.approx(iqr)
@@ -140,75 +141,51 @@ class TestCompareRuns:
         with pytest.raises(ValidationError, match="threshold"):
             compare_runs(tmp_path, tmp_path, threshold=0.0)
 
-    def test_mode_mismatch_warns_but_does_not_fail(self, tmp_path):
+#: The metrics of a campaign-backed artifact (E14's quick baseline).
+ENGINE = dict(engine_workers=1, engine_mode="in-process", engine_chunks=4,
+              engine_utilization=0.9988, engine_runs_per_second=191.38,
+              violations=0)
+
+
+class TestIncomparable:
+    @pytest.mark.parametrize("changes, difference", [
+        (dict(mode="full"), "mode quick != full"),
+        (dict(units=23386), "units 23385 != 23386"),
+        (dict(engine_mode="pool:fork"), "engine_mode in-process != pool:fork"),
+        (dict(violations=1), "violations 0 != 1"),
+        (dict(symmetry=True), "symmetry <absent> != True"),
+    ], ids=["mode", "units", "engine_mode", "metric", "absent-metric"])
+    def test_different_work_is_incomparable(self, changes, difference):
+        base = artifact(units=23385, **ENGINE)
+        current = artifact(**{**dict(units=23385, **ENGINE), **changes})
+        verdict = compare_artifacts(base, current)
+        assert verdict.status == "incomparable"
+        assert verdict.failed
+        assert verdict.difference == difference
+        assert difference in verdict.summary()
+
+    def test_work_is_checked_before_time(self):
+        # A 10x faster run of different work is not 'faster'.
+        verdict = compare_artifacts(artifact(units=10),
+                                    artifact(units=11, median=0.1))
+        assert verdict.status == "incomparable"
+
+    def test_timing_derived_metrics_never_make_a_pair_incomparable(self):
+        base = artifact(**ENGINE)
+        current = artifact(**{**ENGINE, "engine_utilization": 0.5,
+                              "engine_runs_per_second": 9999.0})
+        assert compare_artifacts(base, current).status == "ok"
+        assert work_difference(base, current) is None
+
+    def test_full_against_quick_fails_the_run_gate(self, tmp_path):
         base, cur = tmp_path / "base", tmp_path / "cur"
         write_artifact(artifact("E2", "bounds", mode="full"), base)
         write_artifact(artifact("E2", "bounds", mode="quick"), cur)
-        assert compare_runs(base, cur).ok
-        warnings = mode_mismatch_warnings(base, cur)
-        assert len(warnings) == 1
-        assert "E2_bounds" in warnings[0]
-
-
-class TestRequireFaster:
-    def _dirs(self, tmp_path, current_median):
-        base, cur = tmp_path / "base", tmp_path / "cur"
-        write_artifact(artifact("E2", "bounds"), base)
-        write_artifact(artifact("E14", "explore", median=1.0), base)
-        write_artifact(artifact("E2", "bounds"), cur)
-        write_artifact(
-            artifact("E14", "explore", median=current_median), cur
-        )
-        return base, cur
-
-    def test_faster_verdict_passes(self, tmp_path):
-        base, cur = self._dirs(tmp_path, current_median=0.5)
-        report = compare_runs(base, cur, require_faster=["E14"])
-        assert report.ok
-        statuses = {c.artifact_name: c.status for c in report.comparisons}
-        assert statuses["E14_explore"] == "faster"
-
-    def test_merely_ok_fails_when_required(self, tmp_path):
-        # 0.9x is an improvement but not a threshold-beating one; the
-        # required-faster gate must reject it.
-        base, cur = self._dirs(tmp_path, current_median=0.9)
-        report = compare_runs(base, cur, require_faster=["E14"])
+        report = compare_runs(base, cur)
         assert not report.ok
         [failure] = report.failures
-        assert failure.artifact_name == "E14_explore"
-        assert failure.status == "ok"
-        assert "[required: faster]" in failure.summary()
-        # The same run passes without the requirement.
-        assert compare_runs(base, cur).ok
-
-    def test_missing_required_experiment_fails(self, tmp_path):
-        base, cur = tmp_path / "base", tmp_path / "cur"
-        write_artifact(artifact("E14", "explore"), base)
-        write_artifact(artifact("E2", "bounds"), base)
-        write_artifact(artifact("E2", "bounds"), cur)
-        report = compare_runs(base, cur, require_faster=["E14"])
-        assert not report.ok
-        [failure] = report.failures
-        assert failure.status == "missing"
-
-    def test_selector_forms(self, tmp_path):
-        base, cur = self._dirs(tmp_path, current_median=0.9)
-        for selector in ("E14", "explore", "E14_explore"):
-            report = compare_runs(base, cur, require_faster=[selector])
-            assert not report.ok, selector
-
-    def test_unmatched_selector_rejected(self, tmp_path):
-        # A typo'd selector must not silently weaken the gate.
-        base, cur = self._dirs(tmp_path, current_median=0.5)
-        with pytest.raises(ValidationError):
-            compare_runs(base, cur, require_faster=["E99"])
-
-    def test_requirement_does_not_leak_to_others(self, tmp_path):
-        base, cur = self._dirs(tmp_path, current_median=0.5)
-        report = compare_runs(base, cur, require_faster=["E14"])
-        flags = {c.artifact_name: c.must_be_faster
-                 for c in report.comparisons}
-        assert flags == {"E2_bounds": False, "E14_explore": True}
+        assert failure.status == "incomparable"
+        assert "mode full != quick" in report.summary()
 
 
 class TestDefaults:

@@ -118,6 +118,20 @@ class TestArtifactDir:
         (tmp_path / "README.md").write_text("not an artifact")
         assert len(load_artifact_dir(tmp_path)) == 1
 
+    def test_two_files_of_one_experiment_rejected(self, tmp_path):
+        # A stale copy beside a fresh artifact must not silently win
+        # (or lose) by sort order: the directory is ambiguous.
+        write_artifact(make_artifact(eid="E14", name="explore"), tmp_path)
+        stale = make_artifact(eid="E14", name="explore", samples=(99.0,))
+        (tmp_path / "BENCH_E14_explore.old.json").write_text(
+            json.dumps(stale.to_dict())
+        )
+        with pytest.raises(BenchSchemaError,
+                           match=r"BENCH_E14_explore\.json and .*"
+                                 r"BENCH_E14_explore\.old\.json both hold "
+                                 r"experiment E14_explore"):
+            load_artifact_dir(tmp_path)
+
 
 class TestFingerprint:
     def test_capture_fields(self):

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -173,8 +175,15 @@ class TestCli:
          "--prefix-depth must be >= 0, got -1"),
         (["certify", "emit", "--runs", "-1"],
          "--runs must be >= 0, got -1"),
+        (["simulate", "--k", "0"], "--k must be >= 1, got 0"),
+        (["simulate", "--x", "5"], "--x must be <= --k (2), got 5"),
+        (["falsify", "--m", "0"], "--m must be >= 1, got 0"),
+        (["falsify", "--runs", "-3"], "--runs must be >= 0, got -3"),
+        (["approx", "--m", "-1"], "--m must be >= 1, got -1"),
+        (["approx", "--eps-exp", "-5"], "--eps-exp must be >= 1, got -5"),
     ], ids=["seeds", "fuzz-runs", "max-configs", "max-steps",
-            "prefix-depth", "emit-runs"])
+            "prefix-depth", "emit-runs", "simulate-k", "simulate-x-above-k",
+            "falsify-m", "falsify-runs", "approx-m", "approx-eps-exp"])
     def test_size_flag_below_its_floor_is_usage_error(
         self, argv, message, tmp_path, capsys
     ):
@@ -243,6 +252,23 @@ class TestBenchCli:
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "injected slowdown x4.0" in out
+
+    def test_bench_compare_different_work_is_one(self, tmp_path, capsys):
+        base, cur = tmp_path / "base", tmp_path / "cur"
+        assert self.run_quick(base) == 0
+        assert self.run_quick(cur) == 0
+        path = cur / "BENCH_E2_bounds.json"
+        data = json.loads(path.read_text())
+        data["timing"]["units"] += 1
+        path.write_text(json.dumps(data))
+        assert main([
+            "bench", "compare", "--baseline", str(base),
+            "--current", str(cur), "--threshold", "100",
+        ]) == 1
+        out = capsys.readouterr().out
+        units = data["timing"]["units"]
+        assert "incomparable  E2_bounds" in out
+        assert f"units {units - 1} != {units}" in out
 
     def test_bench_compare_missing_baseline_is_two(self, tmp_path, capsys):
         assert self.run_quick(tmp_path) == 0
