@@ -27,7 +27,7 @@ pruned and the search stays finite.
 Exploration shards: :func:`schedule_prefixes` cuts the interleaving tree
 into the subtrees below every viable schedule prefix of a fixed length,
 and :func:`explore_prefix_range` explores any contiguous range of those
-subtrees, each with a fresh memo table, merging the per-subtree
+subtrees, each from an empty memo table, merging the per-subtree
 :class:`ExplorationReport` objects in prefix order.  Because each unit's
 report is a pure function of ``(protocol, inputs, task, prefix, bounds)``
 and ``merge()`` is a commutative monoid, the campaign engine
@@ -248,8 +248,9 @@ class ExplorationContext:
     :class:`~repro.protocols.base.Protocol` contract (hashable immutable
     states, pure ``poised``/``advance``, pure ``task.check``), so sharing
     a context across exploration units — or not sharing it — cannot
-    change any report.  The per-unit depth memo is *not* part of the
-    context; each unit keeps its own.  A context is not thread-safe
+    change any report.  The depth memo is *not* part of the context:
+    each prefix range keeps one, which every unit leaves empty on
+    return.  A context is not thread-safe
     (interning assigns ids by check-then-insert): one thread uses it at
     a time.
     See docs/PERFORMANCE.md for the full purity contract and the
@@ -787,6 +788,8 @@ def _explore_unit(
     max_configs: int,
     max_steps: Optional[int],
     stop_at_first_violation: bool,
+    best_depth: List[int],
+    touched: List[int],
 ) -> ExplorationReport:
     """Explore the interleaving subtree below one schedule prefix.
 
@@ -799,8 +802,12 @@ def _explore_unit(
     shallower arrival re-expands (the depth-bound soundness fix), a
     deeper or equal one is pruned.  The memo is a list indexed by the
     small-int class :meth:`ExplorationContext.canon_key` assigns per
-    configuration and is per-unit — only the context's pure transition
-    caches persist across units.
+    configuration.  The caller hands every unit of a range the same list,
+    all ``_UNSEEN``; the unit grows it as interning adds classes and
+    appends to ``touched`` every entry it sets, which the caller resets
+    before the next unit, so emptying the memo costs what the unit
+    visited, not the context's size.  Only the context's pure transition
+    caches carry information across units.
 
     Without symmetry reduction each configuration is its own class.  On
     a symmetry-reducing context the class is the canonical form under
@@ -836,16 +843,19 @@ def _explore_unit(
     # Pass 2: seed the memo with the path configurations and check the
     # owned interior ones (in path order, same count/check/budget
     # sequence as the frontier loop below).  The memo is a list indexed
-    # by class, one slot per class the context knows (classes are
-    # numbered densely from 0, one new class at most per step), grown
-    # in blocks as interning adds classes.
+    # by class, at least one slot per class the context knows (classes
+    # are numbered densely from 0, one new class at most per step),
+    # grown in blocks as interning adds classes.
     limit = len(ctx._classes) if ctx.symmetry else len(canon)
-    best_depth = [_UNSEEN] * limit
+    if len(best_depth) < limit:
+        best_depth.extend([_UNSEEN] * (limit - len(best_depth)))
+    limit = len(best_depth)
     for depth, p_row in enumerate(path):
         memo_key = canon[p_row]
         if best_depth[memo_key] != _UNSEEN:
             continue
         best_depth[memo_key] = depth
+        touched.append(memo_key)
         if depth < owned_from:
             continue
         report.configurations += 1
@@ -879,6 +889,7 @@ def _explore_unit(
     succ = ctx._succ
     configurations = report.configurations
     fully_decided = report.fully_decided
+    mark = touched.append
     while frontier:
         row, memo_key, depth, tail = frontier.pop()
         prior = best_depth[memo_key]
@@ -887,6 +898,7 @@ def _explore_unit(
         best_depth[memo_key] = depth
         if prior == _UNSEEN:
             configurations += 1
+            mark(memo_key)
 
         # A cached verdict of () is the common decided case: no call.
         if decided_of[row] and verdicts[row] != ():
@@ -959,11 +971,11 @@ def explore_prefix_range(
     fresh one built with ``symmetry``; a supplied context must have been
     built for the same protocol, inputs, task and mode, else
     :class:`~repro.errors.ValidationError`) for its pure transition
-    caches; each unit still
-    gets a fresh depth memo, so the merged report is byte-identical
-    whether units run in one call, in separate calls, or on separate
-    workers — with or without symmetry reduction, since the per-unit
-    function and the merge are mode-parametric but worker-independent.
+    caches; each unit still starts from an empty depth memo, so the
+    merged report is byte-identical whether units run in one call, in
+    separate calls, or on separate workers — with or without symmetry
+    reduction, since the per-unit function and the merge are
+    mode-parametric but worker-independent.
 
     With ``certificates=True`` the range's report carries a witness
     certificate for its counterexample (:mod:`repro.certify`); merging
@@ -983,11 +995,16 @@ def explore_prefix_range(
         protocol, inputs, task, symmetry=symmetry
     )
     report = ExplorationReport()
+    best_depth: List[int] = []
+    touched: List[int] = []
     for prefix in prefixes[start:stop]:
+        for key in touched:  # empty the memo the previous unit filled
+            best_depth[key] = _UNSEEN
+        touched.clear()
         report = report.merge(
             _explore_unit(
                 ctx, tuple(prefix), budget, max_steps,
-                stop_at_first_violation,
+                stop_at_first_violation, best_depth, touched,
             )
         )
     if certificates and report.counterexample is not None:

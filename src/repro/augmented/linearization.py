@@ -117,6 +117,14 @@ def extract_operations(
     a Block-Update that performed its update to H (line 25) has a timestamp
     and participates in linearization; one that did not is invisible.
     """
+    return _walk(trace, obj)[:2]
+
+
+def _walk(
+    trace: Trace, obj: AugmentedSnapshot
+) -> Tuple[List[BlockUpdateRecord], List[ScanRecord], List[Tuple]]:
+    """:func:`extract_operations` plus, in the same trace pass, one
+    ``(seq, rank, appended triples)`` per update to H, in trace order."""
     if obj.H is None:
         raise ValidationError(
             f"{obj.name} ran in register-level mode: H is an [AAD+93] "
@@ -127,12 +135,16 @@ def extract_operations(
     open_ops: Dict[int, Any] = {}  # pid is unique per op at a time: rank -> record
     bus: List[BlockUpdateRecord] = []
     scans: List[ScanRecord] = []
+    h_updates: List[Tuple] = []
     by_id: Dict[str, Any] = {}
     # Track H contents to attribute appended triples (for timestamps).
     h_state: List[Tuple] = [()] * obj.k_plus_1
 
     for event in trace:
-        if event.is_annotation() and event.tag == AUG_OP_TAG:
+        kind = event.kind
+        if kind == "annotate":
+            if event.tag != AUG_OP_TAG:
+                continue
             info = event.payload
             if info.get("object") != obj.name:
                 continue
@@ -170,7 +182,7 @@ def extract_operations(
                 open_ops.pop(rank, None)
             continue
 
-        if not event.is_step() or event.obj_name != h_name:
+        if kind != "step" or event.obj_name != h_name:
             continue
         # A primitive step on H; attribute it to the issuing process's op.
         rank = obj.rank_of(event.pid)
@@ -185,11 +197,23 @@ def extract_operations(
             slot, new_history = event.args
             appended = new_history[len(h_state[slot]):]
             h_state[slot] = new_history
+            h_updates.append((event.seq, rank, appended))
             if isinstance(record, BlockUpdateRecord) and record.x_seq is None:
                 record.x_seq = event.seq
                 if appended:
                     record.timestamp = appended[0][2]
-    return bus, scans
+    return bus, scans, h_updates
+
+
+def _components(ts: VectorTimestamp, size: int) -> Tuple[int, ...]:
+    """``ts``'s component tuple, which must have one entry per process."""
+    stamp = ts.components
+    if len(stamp) != size:
+        raise ValidationError(
+            f"timestamp {ts!r} has {len(stamp)} components; the object is "
+            f"shared by {size} processes"
+        )
+    return stamp
 
 
 # ----------------------------------------------------------------------
@@ -197,47 +221,44 @@ def extract_operations(
 # ----------------------------------------------------------------------
 def linearize(trace: Trace, obj: AugmentedSnapshot) -> Linearization:
     """Compute σ, the linearized sequence of Updates and Scans on ``obj``."""
-    bus, scans = extract_operations(trace, obj)
+    bus, scans, h_updates = _walk(trace, obj)
+    size = obj.k_plus_1
 
     # Pending Updates: one per (component, value) of each Block-Update whose
-    # update to H happened (it has a timestamp).
-    pending: List[Tuple[int, Any, VectorTimestamp, BlockUpdateRecord]] = []
+    # update to H happened (it has a timestamp), as checked component tuples.
+    pending: List[Tuple] = []
     for record in bus:
         if record.timestamp is None:
             continue
+        stamp = _components(record.timestamp, size)
         for component, value in zip(record.components, record.values):
-            pending.append((component, value, record.timestamp, record))
+            pending.append((component, value, stamp, record))
 
     # Walk H updates in trace order, tracking the max timestamp per component.
     points: List[LinPoint] = []
-    max_ts: Dict[int, VectorTimestamp] = {}
-    h_name = obj.H.name
-    h_state: List[Tuple] = [()] * obj.k_plus_1
-    for event in trace:
-        if not event.is_step() or event.obj_name != h_name or event.op != "update":
-            continue
-        slot, new_history = event.args
-        appended = new_history[len(h_state[slot]):]
-        h_state[slot] = new_history
+    max_ts: Dict[int, Tuple[int, ...]] = {}
+    for seq, _rank, appended in h_updates:
         for component, _value, ts in appended:
-            if component not in max_ts or ts > max_ts[component]:
-                max_ts[component] = ts
+            stamp = _components(ts, size)
+            if component not in max_ts or stamp > max_ts[component]:
+                max_ts[component] = stamp
         still_pending = []
-        for component, value, ts, record in pending:
-            if component in max_ts and max_ts[component] >= ts:
+        for item in pending:
+            component, value, stamp, record = item
+            if component in max_ts and max_ts[component] >= stamp:
                 points.append(
                     LinPoint(
                         kind="update",
-                        seq=event.seq,
-                        order=(event.seq, 0, ts.as_tuple(), component),
+                        seq=seq,
+                        order=(seq, 0, stamp, component),
                         component=component,
                         value=value,
-                        timestamp=ts,
+                        timestamp=record.timestamp,
                         block_update=record,
                     )
                 )
             else:
-                still_pending.append((component, value, ts, record))
+                still_pending.append(item)
         pending = still_pending
 
     for record in scans:
@@ -342,19 +363,13 @@ def check_yield_rule(trace: Trace, obj: AugmentedSnapshot) -> List[str]:
     lower-rank process performed an update to H (line 25) during its
     execution interval."""
     violations = []
-    bus, _scans = extract_operations(trace, obj)
-    h_name = obj.H.name
-    update_steps = [
-        (event.seq, obj.rank_of(event.pid))
-        for event in trace
-        if event.is_step() and event.obj_name == h_name and event.op == "update"
-    ]
+    bus, _scans, h_updates = _walk(trace, obj)
     for record in bus:
         if record.result != "yield":
             continue
         interval_has_lower = any(
             record.begin_seq <= seq <= record.end_seq and rank < record.rank
-            for seq, rank in update_steps
+            for seq, rank, _appended in h_updates
         )
         if not interval_has_lower:
             violations.append(

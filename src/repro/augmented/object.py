@@ -92,10 +92,14 @@ class AugmentedSnapshot:
             self._h_afek = AfekSnapshot(
                 f"{name}.H", writers=self.pids, initial=()
             )
+            self._h_scan = None
         else:
             self.H = SingleWriterSnapshot(
                 f"{name}.H", writers=self.pids, initial=()
             )
+            self._h_afek = None
+            # One prebuilt request, yielded directly for every scan of H.
+            self._h_scan = Invoke(self.H, "scan")
         # L[i][j]: written by q_i, read by q_j (ranks), one unbounded array each.
         self.L: Dict[Tuple[int, int], RegisterArray] = {}
         for i, pid_i in enumerate(self.pids):
@@ -111,9 +115,11 @@ class AugmentedSnapshot:
         self.yield_counts: Dict[int, int] = {i: 0 for i in range(len(self.pids))}
         self.atomic_counts: Dict[int, int] = {i: 0 for i in range(len(self.pids))}
         # Component histories are immutable tuples and H hands back the same
-        # tuple object for an unchanged component, so counting Block-Updates
-        # per rank only needs recomputing for components that actually grew.
+        # tuple object for an unchanged component (and the same scan result
+        # while H is unchanged), so counting Block-Updates per rank only
+        # needs recomputing for components that actually grew.
         self._count_cache: list = [(None, 0)] * len(self.pids)
+        self._last_counts: Tuple[Any, Tuple[int, ...]] = (None, ())
 
     # ------------------------------------------------------------------
     # Introspection
@@ -140,40 +146,22 @@ class AugmentedSnapshot:
             arr.register_count() for arr in self.L.values()
         )
 
-    # ------------------------------------------------------------------
-    # H access — one native atomic step, or the [AAD+93] construction.
-    # ------------------------------------------------------------------
-    def _h_scan(self, pid: int) -> Generator[Any, Any, Tuple]:
-        if self.register_level:
-            return (yield from self._h_afek.scan(pid))
-        return (yield Invoke(self.H, "scan"))
-
-    def _h_update(
-        self, pid: int, rank: int, new_history: Tuple
-    ) -> Generator[Any, Any, None]:
-        if self.register_level:
-            yield from self._h_afek.update(pid, new_history)
-        else:
-            yield Invoke(self.H, "update", (rank, new_history))
-        return None
-
     def _next_op_id(self, kind: str) -> str:
         self._op_counter += 1
         return f"{kind}{self._op_counter}"
 
     def _history_counts(self, h: Tuple) -> Tuple[int, ...]:
-        """``(#h_0, ..., #h_k)`` with per-rank identity-keyed caching."""
+        """``(#h_0, ..., #h_k)``, cached by identity per scan and per rank."""
+        last_h, counts = self._last_counts
+        if h is last_h:
+            return counts
         cache = self._count_cache
-        counts = []
         for i, hist in enumerate(h):
-            hit = cache[i]
-            if hit[0] is hist:
-                counts.append(hit[1])
-            else:
-                c = history_count(hist)
-                cache[i] = (hist, c)
-                counts.append(c)
-        return tuple(counts)
+            if cache[i][0] is not hist:
+                cache[i] = (hist, history_count(hist))
+        counts = tuple(count for _hist, count in cache)
+        self._last_counts = (h, counts)
+        return counts
 
     # ------------------------------------------------------------------
     # Scan — Figure 1 lines 14–21
@@ -188,6 +176,7 @@ class AugmentedSnapshot:
         return views consistent with Scans.
         """
         rank = self.rank_of(pid)
+        native, afek = self._h_scan, self._h_afek
         annotate = self.annotate
         if annotate:
             op_id = self._next_op_id("S")
@@ -197,12 +186,12 @@ class AugmentedSnapshot:
                  "rank": rank, "object": self.name},
             )
         while True:
-            h = yield from self._h_scan(pid)                          # line 15
+            h = (yield native) if native else (yield from afek.scan(pid))  # line 15
             counts = self._history_counts(h)
-            for j in range(self.k_plus_1):                            # line 16
+            for j in range(len(self.pids)):                           # line 16
                 if j != rank:
                     yield Invoke(self.L[(rank, j)], "write", (counts[j], h))  # 17
-            f = yield from self._h_scan(pid)                          # line 19
+            f = (yield native) if native else (yield from afek.scan(pid))  # line 19
             if h == f:                                                # line 20
                 break
         view = get_view(h, self.m)                                    # line 21
@@ -244,6 +233,7 @@ class AugmentedSnapshot:
             if not 0 <= c < self.m:
                 raise ValidationError(f"component {c} out of range for m={self.m}")
 
+        native, afek = self._h_scan, self._h_afek
         annotate = self.annotate
         if annotate:
             op_id = self._next_op_id("B")
@@ -254,18 +244,21 @@ class AugmentedSnapshot:
                  "components": tuple(comps), "values": tuple(vals)},
             )
 
-        h = yield from self._h_scan(pid)                              # line 23
+        h = (yield native) if native else (yield from afek.scan(pid))  # line 23
         h_counts = self._history_counts(h)
         t = timestamp_for_counts(h_counts, rank)                      # line 24
         triples = tuple((c, v, t) for c, v in zip(comps, vals))
-        yield from self._h_update(pid, rank, h[rank] + triples)       # line 25
+        if native:                                                    # line 25
+            yield Invoke(self.H, "update", (rank, h[rank] + triples))
+        else:
+            yield from afek.update(pid, h[rank] + triples)
 
-        f = yield from self._h_scan(pid)                              # line 26
+        f = (yield native) if native else (yield from afek.scan(pid))  # line 26
         f_counts = self._history_counts(f)
         for j in range(rank):                                         # line 27
             yield Invoke(self.L[(rank, j)], "write", (f_counts[j], f))  # 28
 
-        g = yield from self._h_scan(pid)                              # line 29
+        g = (yield native) if native else (yield from afek.scan(pid))  # line 29
         g_counts = self._history_counts(g)
         if any(g_counts[j] > h_counts[j] for j in range(rank)):       # line 30
             self.yield_counts[rank] += 1

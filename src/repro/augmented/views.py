@@ -96,15 +96,21 @@ def get_view(h: ScanResult, m: int) -> Tuple[Any, ...]:
     """
     best: list = [None] * m
     best_ts: list = [None] * m
+    # Compare raw component tuples, size-checked as VectorTimestamp would.
+    size = len(h)
     for history in h:
         for component, value, ts in history:
             if not 0 <= component < m:
                 raise ValidationError(
                     f"triple component {component} out of range for m={m}"
                 )
-            if best_ts[component] is None or ts > best_ts[component]:
+            stamp = ts.components
+            if len(stamp) != size:
+                raise ValidationError(f"timestamp {ts!r} has {len(stamp)} "
+                                      f"components, not {size}")
+            if best_ts[component] is None or stamp > best_ts[component]:
                 best[component] = value
-                best_ts[component] = ts
+                best_ts[component] = stamp
     return tuple(best)
 
 

@@ -30,6 +30,7 @@ so a bug in the simulation machinery shows up as a concrete mismatch.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -136,36 +137,34 @@ class _Replayer:
         return dict(states), tuple(contents)
 
 
-def _rank_blocks(
-    lin: Linearization, rank: int
-) -> List[BlockUpdateRecord]:
-    """Rank i's Block-Updates in application order (it is sequential)."""
-    records = [b for b in lin.block_updates if b.rank == rank]
-    records.sort(key=lambda b: b.begin_seq)
-    return records
+def _rank_blocks(lin: Linearization) -> Dict[int, Tuple[List, List, List]]:
+    """rank -> its Block-Updates in application order (it is sequential),
+    as ``(records, their _BlockRecord log, their begin_seq)``; built once
+    per linearization."""
+    by_rank: Dict[int, Tuple[List, List, List]] = {}
+    for b in sorted(lin.block_updates, key=lambda b: b.begin_seq):
+        records, log, begins = by_rank.setdefault(b.rank, ([], [], []))
+        records.append(b)
+        log.append(_BlockRecord(b.components, b.result == "view",
+                                b.returned_view))
+        begins.append(b.begin_seq)
+    return by_rank
 
 
 def _anchor_for(
-    lin: Linearization, record: BlockUpdateRecord, prefix_size: int
+    blocks: Dict[int, Tuple[List, List, List]],
+    record: BlockUpdateRecord,
+    prefix_size: int,
 ) -> Optional[BlockUpdateRecord]:
     """The anchor Block-Update the revision of p_{i,prefix_size+1} used:
     the last atomic Block-Update by the same rank on exactly the first
     ``prefix_size`` components of ``record``, with no wider one after it."""
-    own = _rank_blocks(lin, record.rank)
-    before = [b for b in own if b.begin_seq < record.begin_seq]
-    log = [
-        _BlockRecord(
-            components=b.components,
-            atomic=b.result == "view",
-            view=b.returned_view,
-        )
-        for b in before
-    ]
-    wanted = record.components[:prefix_size]
-    found = _find_anchor(log, wanted)
+    own, log, begins = blocks[record.rank]
+    before = bisect_left(begins, record.begin_seq)
+    found = _find_anchor(log[:before], record.components[:prefix_size])
     if found is None:
         return None
-    for b in reversed(before):
+    for b in reversed(own[:before]):
         if b.components == found.components and b.result == "view":
             return b
     return None  # pragma: no cover - found implies a matching record
@@ -180,6 +179,7 @@ def check_correspondence(outcome) -> Correspondence:
     setup: SimulationSetup = outcome.setup
     protocol: Protocol = setup.protocol
     lin = linearize(outcome.system.trace, outcome.aug)
+    blocks = _rank_blocks(lin)
     replayer = _Replayer(setup)
     out = Correspondence()
     entries = out.entries
@@ -256,7 +256,7 @@ def check_correspondence(outcome) -> Correspondence:
 
         if position_in_block > 0:
             # A hidden-past update: justify it from its anchor.
-            anchor = _anchor_for(lin, record, position_in_block)
+            anchor = _anchor_for(blocks, record, position_in_block)
             if anchor is None:
                 fail(
                     f"Update of {record.op_id} simulating process {process} "
@@ -356,7 +356,7 @@ def check_correspondence(outcome) -> Correspondence:
             # The final (never-applied) revision chain lives only in the
             # simulator's head; re-derive it exactly as the simulator would,
             # but driven entirely by σ's states and the trace's anchors.
-            derived = _derive_full_cover(setup, lin, rank, final_states)
+            derived = _derive_full_cover(setup, blocks, rank, final_states)
             if derived is None:
                 fail(
                     f"simulator q{rank} decided {value!r} via full cover, "
@@ -384,7 +384,7 @@ def check_correspondence(outcome) -> Correspondence:
 
 def _derive_full_cover(
     setup: SimulationSetup,
-    lin: Linearization,
+    blocks: Dict[int, Tuple[List, List, List]],
     rank: int,
     final_states: Dict[int, Any],
 ):
@@ -401,15 +401,7 @@ def _derive_full_cover(
     """
     protocol = setup.protocol
     indices = setup.process_map[rank]
-    own = _rank_blocks(lin, rank)
-    log = [
-        _BlockRecord(
-            components=b.components,
-            atomic=b.result == "view",
-            view=b.returned_view,
-        )
-        for b in own
-    ]
+    _own, log, _begins = blocks.get(rank, ([], [], []))
     states = {process: final_states[process] for process in indices}
     kind, payload = protocol.poised(states[indices[0]])
     if kind != UPDATE:

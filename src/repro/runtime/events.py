@@ -176,14 +176,14 @@ class Trace:
 
     def steps(self) -> list:
         """All atomic steps, in execution order."""
-        return [e for e in self.events if e.is_step()]
+        return [e for e in self.events if e.kind == "step"]
 
     def annotations(self, tag: Optional[str] = None) -> list:
         """All annotations, optionally filtered by tag."""
         return [
             e
             for e in self.events
-            if e.is_annotation() and (tag is None or e.tag == tag)
+            if e.kind == "annotate" and (tag is None or e.tag == tag)
         ]
 
     def by_process(self, pid: int) -> list:

@@ -46,7 +46,7 @@ class Process:
         self.status = READY
         self._generator = body(self)
         self._started = False
-        self._pending: Any = None  # next Invoke/Annotate awaiting the system
+        self._pending: Any = None  # next Invoke awaiting the system
 
     def __repr__(self) -> str:
         return f"Process(pid={self.pid}, name={self.name!r}, status={self.status})"

@@ -97,7 +97,15 @@ class RandomScheduler(Scheduler):
         if self._weights:
             weights = [self._weights.get(pid, 1.0) for pid in pids]
             return self._rng.choices(pids, weights=weights, k=1)[0]
-        return self._rng.choice(pids)
+        # ``self._rng.choice(pids)`` as CPython 3.9-3.13 computes it, minus
+        # two frames (tests/runtime/test_scheduler.py pins the equality).
+        count = len(pids)
+        getrandbits = self._rng.getrandbits
+        bits = count.bit_length()
+        draw = getrandbits(bits)
+        while draw >= count:
+            draw = getrandbits(bits)
+        return pids[draw]
 
 
 class CrashAfterScheduler(RandomScheduler):

@@ -59,7 +59,6 @@ class System:
         self._events = self.trace.events
         self.objects: Dict[str, Any] = {}
         self._seq = 0
-        self._responses: Dict[int, Any] = {}
         # READY processes, maintained incrementally (insertion-ordered, so
         # iteration matches registration order).  Processes only ever
         # *leave* READY; `active_pids` prunes defensively in case a
@@ -126,14 +125,6 @@ class System:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    @property
-    def _pending(self) -> Dict[int, Invoke]:
-        pending = {}
-        for pid, proc in self._ready.items():
-            if proc.status == READY and proc._pending is not None:
-                pending[pid] = proc._pending
-        return pending
-
     def crash(self, pid: int) -> None:
         """Crash a process (it permanently stops taking steps)."""
         proc = self.processes.get(pid)
@@ -158,24 +149,61 @@ class System:
         return self._step_ready(proc)
 
     def _step_ready(self, proc: Process) -> bool:
-        """:meth:`step` after validation (caller checked READY)."""
-        request = proc._pending
-        if request is None:
-            # First turn (or body yielded only annotations so far): drive the
-            # body until it produces its first Invoke.
-            request = self._drive(proc, None)
-            if request is None:
-                if self._ready.pop(proc.pid, None) is not None:
-                    self._ready_version += 1
-                return False
+        """:meth:`step` after validation (caller checked READY).
 
-        # Apply the pending operation atomically.
-        result = self._apply(proc, request)
-        # Resume local computation; buffer the next pending operation.
-        proc._pending = self._drive(proc, result)
-        if proc.status != READY:
-            if self._ready.pop(proc.pid, None) is not None:
+        The one per-step path, in one frame: apply the pending Invoke,
+        then resume the body, recording its annotations, until it yields
+        the next Invoke or returns.  A first turn starts the body first.
+        """
+        pid = proc.pid
+        generator = proc._generator
+        events = self._events
+        request = proc._pending
+        applied = False
+        try:
+            if request is None:
+                proc._started = True
+                request = next(generator)
+            while True:
+                if isinstance(request, Invoke):
+                    if applied:
+                        break
+                    obj = request.obj
+                    name = getattr(obj, "name", None)
+                    if name is None:
+                        raise ModelError("shared object has no name")
+                    if self.objects.setdefault(name, obj) is not obj:
+                        raise ModelError("two distinct shared objects "
+                                         f"named {name!r}")
+                    args = request.args
+                    result = obj.apply(pid, request.op, args)
+                    proc.steps_taken += 1
+                    self._seq += 1
+                    events.append(Event(self._seq, pid, "step", name,
+                                        request.op, args, result))
+                    applied = True
+                    request = generator.send(result)
+                elif isinstance(request, Annotate):
+                    self._seq += 1
+                    events.append(
+                        Event(self._seq, pid, "annotate", None, None, (),
+                              None, request.tag, request.payload)
+                    )
+                    request = generator.send(None)
+                else:
+                    raise ModelError(
+                        f"process {pid} yielded {type(request).__name__}; "
+                        "expected Invoke or Annotate"
+                    )
+        except StopIteration as stop:
+            proc.status = DONE
+            proc.output = stop.value
+            proc._pending = None
+            self._record_lifecycle(pid, "done")
+            if self._ready.pop(pid, None) is not None:
                 self._ready_version += 1
+            return applied
+        proc._pending = request
         return True
 
     def run(
@@ -250,48 +278,6 @@ class System:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _drive(self, proc: Process, response: Any) -> Optional[Invoke]:
-        """Resume ``proc`` until it yields an Invoke; record annotations."""
-        request = proc.advance(response)
-        while request is not None:
-            if isinstance(request, Invoke):
-                return request
-            if isinstance(request, Annotate):
-                self._record_annotation(proc.pid, request)
-                request = proc.advance(None)
-                continue
-            raise ModelError(
-                f"process {proc.pid} yielded {type(request).__name__}; "
-                "expected Invoke or Annotate"
-            )
-        self._record_lifecycle(proc.pid, "done")
-        return None
-
-    def _apply(self, proc: Process, request: Invoke) -> Any:
-        obj = request.obj
-        name = getattr(obj, "name", None)
-        if name is None:
-            raise ModelError("shared object has no name")
-        if self.objects.get(name) is not obj:
-            known = self.objects.setdefault(name, obj)
-            if known is not obj:
-                raise ModelError(f"two distinct shared objects named {name!r}")
-        result = obj.apply(proc.pid, request.op, request.args)
-        proc.steps_taken += 1
-        self._seq += 1
-        self._events.append(
-            Event(self._seq, proc.pid, "step", name, request.op,
-                  request.args, result)
-        )
-        return result
-
-    def _record_annotation(self, pid: int, marker: Annotate) -> None:
-        self._seq += 1
-        self._events.append(
-            Event(self._seq, pid, "annotate", None, None, (), None,
-                  marker.tag, marker.payload)
-        )
-
     def _record_lifecycle(self, pid: int, kind: str) -> None:
         self._seq += 1
         self._events.append(Event(self._seq, pid, kind))

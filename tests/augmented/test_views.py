@@ -109,6 +109,42 @@ class TestGetView:
         with pytest.raises(ValidationError):
             get_view(h, 2)
 
+    def test_timestamp_size_mismatch_rejected(self):
+        # A shorter timestamp is a lexicographic prefix, so comparing raw
+        # component tuples would quietly order it; the view fails closed.
+        h = (
+            ((0, "old", ts(1, 0)),),
+            ((0, "new", ts(1, 0, 1)),),
+        )
+        with pytest.raises(ValidationError):
+            get_view(h, 1)
+
+
+class TestLinearizeTimestampSizes:
+    def test_timestamp_size_mismatch_rejected(self):
+        from repro.augmented import AugmentedSnapshot
+        from repro.augmented.linearization import linearize
+        from repro.augmented.object import AUG_OP_TAG
+        from repro.runtime.events import Event, Trace
+
+        obj = AugmentedSnapshot("M", components=1, pids=[0, 1])
+        trace = Trace()
+        for seq, (rank, value, stamp) in enumerate(
+            [(0, "a", ts(1, 0)), (1, "b", ts(1, 0, 1))]
+        ):
+            trace.append(Event(
+                2 * seq + 1, rank, "annotate", tag=AUG_OP_TAG,
+                payload={"kind": "block_update", "phase": "begin",
+                         "op_id": f"B{seq}", "rank": rank, "object": "M",
+                         "components": (0,), "values": (value,)},
+            ))
+            trace.append(Event(
+                2 * seq + 2, rank, "step", obj.H.name, "update",
+                (rank, ((0, value, stamp),)),
+            ))
+        with pytest.raises(ValidationError):
+            linearize(trace, obj)
+
 
 class TestPrefix:
     def test_empty_is_prefix_of_anything(self):

@@ -1,5 +1,7 @@
 """Unit tests for schedulers."""
 
+import random
+
 import pytest
 
 from repro.errors import SchedulerError
@@ -62,6 +64,22 @@ class TestRandom:
     def test_empty_active_raises(self):
         with pytest.raises(SchedulerError):
             RandomScheduler(0).next_pid([])
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_draws_match_random_choice(self, seed):
+        # The scheduler's draw must be exactly random.Random(seed).choice
+        # over the sorted active pids, turn for turn, as processes finish:
+        # every recorded schedule (and every pinned trace) depends on it.
+        sched = RandomScheduler(seed)
+        reference = random.Random(seed)
+        budget = {pid: 3 + (seed + pid) % 5 for pid in (4, 0, 3, 1, 2)}
+        active = list(budget)
+        while active:
+            pid = sched.next_pid(active)
+            assert pid == reference.choice(sorted(active))
+            budget[pid] -= 1
+            if not budget[pid]:
+                active = [p for p in active if p != pid]
 
 
 class TestSolo:
