@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
+from repro.runtime.events import OBJECT_OP_TAG
 
 
 @dataclass(frozen=True)
@@ -286,10 +287,6 @@ def certified_linearization(
     from repro.certify.emit import linearization_certificate
 
     return ok, witness, linearization_certificate(spec, history, witness)
-
-
-#: Annotation tag emitted by composed objects for generic operation markers.
-OBJECT_OP_TAG = "object.op"
 
 
 def history_from_trace(trace, object_name: str) -> List[CompletedOperation]:

@@ -57,6 +57,9 @@ class AugmentedSnapshot:
     traces) skip the per-operation marker overhead.
     """
 
+    #: Tag of this object's begin/end markers (a subclass may rename it).
+    OP_TAG = AUG_OP_TAG
+
     def __init__(
         self,
         name: str,
@@ -163,6 +166,37 @@ class AugmentedSnapshot:
         self._last_counts = (h, counts)
         return counts
 
+    def _block_arguments(
+        self, components: Sequence[int], values: Sequence[Any]
+    ) -> Tuple[list, list]:
+        """Block-Update's arguments as lists, or :class:`ValidationError`."""
+        comps = list(components)
+        vals = list(values)
+        if not comps:
+            raise ValidationError("Block-Update needs at least one component")
+        if len(comps) != len(vals):
+            raise ValidationError("components and values must have equal length")
+        if len(set(comps)) != len(comps):
+            raise ValidationError("Block-Update components must be distinct")
+        for c in comps:
+            if not 0 <= c < self.m:
+                raise ValidationError(f"component {c} out of range for m={self.m}")
+        return comps, vals
+
+    def _helped_view(
+        self, rank: int, h: Tuple, own_count: int
+    ) -> Generator[Any, Any, Tuple[Any, ...]]:
+        """Figure 1 lines 32–37: the latest of ``h`` and the scans helpers
+        published for this rank's ``own_count``'th Block-Update, as a view."""
+        last = h                                                      # line 32
+        for j in range(self.k_plus_1):                                # line 33
+            if j == rank:
+                continue
+            r_j = yield Invoke(self.L[(j, rank)], "read", (own_count,))  # 34
+            if r_j is not None and is_proper_prefix(last, r_j):       # line 35
+                last = r_j                                            # line 36
+        return get_view(last, self.m)                                 # line 37
+
     # ------------------------------------------------------------------
     # Scan — Figure 1 lines 14–21
     # ------------------------------------------------------------------
@@ -179,9 +213,10 @@ class AugmentedSnapshot:
         native, afek = self._h_scan, self._h_afek
         annotate = self.annotate
         if annotate:
+            tag = self.OP_TAG
             op_id = self._next_op_id("S")
             yield Annotate(
-                AUG_OP_TAG,
+                tag,
                 {"kind": "scan", "phase": "begin", "op_id": op_id,
                  "rank": rank, "object": self.name},
             )
@@ -197,7 +232,7 @@ class AugmentedSnapshot:
         view = get_view(h, self.m)                                    # line 21
         if annotate:
             yield Annotate(
-                AUG_OP_TAG,
+                tag,
                 {"kind": "scan", "phase": "end", "op_id": op_id, "rank": rank,
                  "object": self.name, "view": view},
             )
@@ -221,24 +256,14 @@ class AugmentedSnapshot:
         update to H, and the returned view satisfies Lemma 22.
         """
         rank = self.rank_of(pid)
-        comps = list(components)
-        vals = list(values)
-        if not comps:
-            raise ValidationError("Block-Update needs at least one component")
-        if len(comps) != len(vals):
-            raise ValidationError("components and values must have equal length")
-        if len(set(comps)) != len(comps):
-            raise ValidationError("Block-Update components must be distinct")
-        for c in comps:
-            if not 0 <= c < self.m:
-                raise ValidationError(f"component {c} out of range for m={self.m}")
-
+        comps, vals = self._block_arguments(components, values)
         native, afek = self._h_scan, self._h_afek
         annotate = self.annotate
         if annotate:
+            tag = self.OP_TAG
             op_id = self._next_op_id("B")
             yield Annotate(
-                AUG_OP_TAG,
+                tag,
                 {"kind": "block_update", "phase": "begin", "op_id": op_id,
                  "rank": rank, "object": self.name,
                  "components": tuple(comps), "values": tuple(vals)},
@@ -264,25 +289,18 @@ class AugmentedSnapshot:
             self.yield_counts[rank] += 1
             if annotate:
                 yield Annotate(
-                    AUG_OP_TAG,
+                    tag,
                     {"kind": "block_update", "phase": "end", "op_id": op_id,
                      "rank": rank, "object": self.name, "timestamp": t,
                      "result": "yield"},
                 )
             return YIELD                                              # line 31
 
-        last = h                                                      # line 32
-        for j in range(self.k_plus_1):                                # line 33
-            if j == rank:
-                continue
-            r_j = yield Invoke(self.L[(j, rank)], "read", (h_counts[rank],))  # 34
-            if r_j is not None and is_proper_prefix(last, r_j):       # line 35
-                last = r_j                                            # line 36
-        view = get_view(last, self.m)                                 # line 37
+        view = yield from self._helped_view(rank, h, h_counts[rank])  # 32–37
         self.atomic_counts[rank] += 1
         if annotate:
             yield Annotate(
-                AUG_OP_TAG,
+                tag,
                 {"kind": "block_update", "phase": "end", "op_id": op_id,
                  "rank": rank, "object": self.name, "timestamp": t,
                  "result": "view", "view": view},

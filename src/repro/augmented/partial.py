@@ -3,43 +3,42 @@
 Appendix B alludes to a staged construction: "In the partially augmented
 snapshot, only q_0 performed Block-Update operations and we ensured that
 the return values of Block-Updates were consistent with the return values
-of Scan operations."  This module implements that stage.  Because q_0 has
-no lower-identifier rival, *every* one of its Block-Updates is atomic, so
-the object needs none of Figure 1's conflict machinery: no yield sign, no
-helping writes on the Block-Update path (lines 26–31 vanish).  What
-remains is the essential core —
+of Scan operations."  This module implements that stage as Figure 1's
+object with one restriction, so it reuses
+:class:`~repro.augmented.object.AugmentedSnapshot` whole: the snapshot
+``H``, the helping registers ``L``, ranks, op ids and the Scan of lines
+14–21, which publishes its first collect so a concurrent Block-Update can
+return a view consistent with it.
 
-* Scans publish their first collect to helping registers so a concurrent
-  Block-Update can return a view consistent with them (Figure 1 lines
-  16–18 / 32–37), and
-* Updates carry fresh lexicographic timestamps so Get-view is well defined.
+What it adds:
 
-The class also supports a deliberately *unsafe* mode
-(``unsafe_allow_any_rank=True``) that lets every process Block-Update
-without the yield check.  Tests use it to exhibit the inconsistent views
-that the full object's ☡ mechanism exists to prevent — the constructive
-answer to "why is Figure 1 so careful?".
+* a single-component ``update`` any process may run — one timestamped
+  triple appended to H, trivially atomic;
+* q_0's ``block_update``.  Because q_0 has no lower-identifier rival,
+  *every* one of its Block-Updates is atomic, so lines 26–31 (the yield
+  check and its helping writes) vanish and it never returns ☡;
+* a deliberately *unsafe* mode (``unsafe_allow_any_rank=True``) that lets
+  every process Block-Update without the yield check.  Tests use it to
+  exhibit the inconsistent views that the full object's ☡ mechanism
+  exists to prevent — the constructive answer to "why is Figure 1 so
+  careful?".
+
+Its markers carry the tag ``partial.op`` rather than ``aug.op``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Sequence, Tuple
+from typing import Any, Generator, Sequence, Tuple
 
-from repro.augmented.views import (
-    get_view,
-    history_counts,
-    is_proper_prefix,
-    new_timestamp,
-)
+from repro.augmented.object import AugmentedSnapshot
+from repro.augmented.views import timestamp_for_counts
 from repro.errors import ModelError, ValidationError
-from repro.memory.registers import RegisterArray
-from repro.memory.snapshot import SingleWriterSnapshot
 from repro.runtime.events import Annotate, Invoke
 
 PARTIAL_OP_TAG = "partial.op"
 
 
-class PartialAugmentedSnapshot:
+class PartialAugmentedSnapshot(AugmentedSnapshot):
     """m-component snapshot with Scans for all, Block-Updates for q_0.
 
     Processes other than q_0 may perform single-component ``update``
@@ -50,6 +49,8 @@ class PartialAugmentedSnapshot:
     ☡ because no rival Block-Updates exist.
     """
 
+    OP_TAG = PARTIAL_OP_TAG
+
     def __init__(
         self,
         name: str,
@@ -57,71 +58,8 @@ class PartialAugmentedSnapshot:
         pids: Sequence[int],
         unsafe_allow_any_rank: bool = False,
     ) -> None:
-        if components < 1:
-            raise ValidationError("need at least one component")
-        if not pids:
-            raise ValidationError("need at least one process")
-        self.name = name
-        self.m = components
-        self.pids = list(pids)
-        self._rank = {pid: i for i, pid in enumerate(self.pids)}
-        if len(self._rank) != len(self.pids):
-            raise ValidationError("duplicate pids")
+        super().__init__(name, components, pids)
         self.unsafe_allow_any_rank = unsafe_allow_any_rank
-        self.H = SingleWriterSnapshot(f"{name}.H", writers=self.pids, initial=())
-        # Helping registers: scanner i helps block-updater j (normally only
-        # j = 0 is read, but the unsafe mode reads them all).
-        self.L: Dict[Tuple[int, int], RegisterArray] = {}
-        for i, pid_i in enumerate(self.pids):
-            for j, pid_j in enumerate(self.pids):
-                if i != j:
-                    self.L[(i, j)] = RegisterArray(
-                        f"{name}.L[{i},{j}]", initial=None,
-                        writer=pid_i, reader=pid_j,
-                    )
-        self._op_counter = 0
-
-    def rank_of(self, pid: int) -> int:
-        """The identifier (priority) of ``pid`` within this object."""
-        try:
-            return self._rank[pid]
-        except KeyError:
-            raise ModelError(f"pid {pid} does not share {self.name}") from None
-
-    def register_count(self) -> int:
-        """Registers used: H's components plus touched helping cells."""
-        return self.H.register_count() + sum(
-            arr.register_count() for arr in self.L.values()
-        )
-
-    def _next_op_id(self, kind: str) -> str:
-        self._op_counter += 1
-        return f"{kind}{self._op_counter}"
-
-    # ------------------------------------------------------------------
-    def scan(self, pid: int) -> Generator[Any, Any, Tuple[Any, ...]]:
-        """Double-collect scan with helping, as in Figure 1 lines 14–21."""
-        rank = self.rank_of(pid)
-        op_id = self._next_op_id("S")
-        yield Annotate(PARTIAL_OP_TAG, {
-            "object": self.name, "kind": "scan", "phase": "begin",
-            "op_id": op_id, "rank": rank,
-        })
-        while True:
-            h = yield Invoke(self.H, "scan")
-            counts = history_counts(h)
-            for j in range(len(self.pids)):
-                if j != rank:
-                    yield Invoke(self.L[(rank, j)], "write", (counts[j], h))
-            f = yield Invoke(self.H, "scan")
-            if h == f:
-                break
-        view = get_view(h, self.m)
-        yield Annotate(PARTIAL_OP_TAG, {
-            "object": self.name, "kind": "scan", "phase": "end",
-            "op_id": op_id, "rank": rank, "view": view,
-        })
-        return view
 
     def update(
         self, pid: int, component: int, value: Any
@@ -130,8 +68,8 @@ class PartialAugmentedSnapshot:
         rank = self.rank_of(pid)
         if not 0 <= component < self.m:
             raise ValidationError(f"component {component} out of range")
-        h = yield Invoke(self.H, "scan")
-        stamp = new_timestamp(h, rank)
+        h = yield self._h_scan
+        stamp = timestamp_for_counts(self._history_counts(h), rank)
         yield Invoke(
             self.H, "update", (rank, h[rank] + ((component, value, stamp),))
         )
@@ -155,34 +93,19 @@ class PartialAugmentedSnapshot:
                 f"{self.name}: only q_0 may Block-Update the partially "
                 "augmented snapshot"
             )
-        comps = list(components)
-        vals = list(values)
-        if not comps or len(comps) != len(vals) or len(set(comps)) != len(comps):
-            raise ValidationError("malformed Block-Update arguments")
-        for c in comps:
-            if not 0 <= c < self.m:
-                raise ValidationError(f"component {c} out of range")
-
+        comps, vals = self._block_arguments(components, values)
         op_id = self._next_op_id("B")
         yield Annotate(PARTIAL_OP_TAG, {
             "object": self.name, "kind": "block_update", "phase": "begin",
             "op_id": op_id, "rank": rank, "components": tuple(comps),
             "values": tuple(vals),
         })
-        h = yield Invoke(self.H, "scan")
-        stamp = new_timestamp(h, rank)
+        h = yield self._h_scan
+        h_counts = self._history_counts(h)
+        stamp = timestamp_for_counts(h_counts, rank)
         triples = tuple((c, v, stamp) for c, v in zip(comps, vals))
         yield Invoke(self.H, "update", (rank, h[rank] + triples))
-
-        h_counts = history_counts(h)
-        last = h
-        for j in range(len(self.pids)):
-            if j == rank:
-                continue
-            r_j = yield Invoke(self.L[(j, rank)], "read", (h_counts[rank],))
-            if r_j is not None and is_proper_prefix(last, r_j):
-                last = r_j
-        view = get_view(last, self.m)
+        view = yield from self._helped_view(rank, h, h_counts[rank])
         yield Annotate(PARTIAL_OP_TAG, {
             "object": self.name, "kind": "block_update", "phase": "end",
             "op_id": op_id, "rank": rank, "timestamp": stamp, "view": view,

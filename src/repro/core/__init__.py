@@ -30,7 +30,7 @@ from repro.core.simulation import (
     SimulationSetup,
     run_simulation,
 )
-from repro.core.approx import ApproxSimulationOutcome, run_approx_simulation
+from repro.core.approx import run_approx_simulation
 from repro.core.bg import (
     BGOutcome,
     BGSimulation,
@@ -51,7 +51,6 @@ __all__ = [
     "SimulationOutcome",
     "run_simulation",
     "check_correspondence",
-    "ApproxSimulationOutcome",
     "run_approx_simulation",
     "SafeAgreement",
     "BGSimulation",

@@ -8,51 +8,34 @@ shared-memory steps that depends only on m — not on ε.  Theorem 2
 log₃(1/ε) steps, so if Π used m ≤ ⌊n/2⌋ registers the simulation would beat
 that bound for small ε: the Appendix D space lower bound ⌊n/2⌋+1.
 
+The reduction reuses Section 4's construction whole — the augmented
+snapshot, the covering simulator body, the harness of
+:func:`~repro.core.simulation.run_simulation` and its
+:class:`~repro.core.simulation.SimulationOutcome`.  What it adds is the
+setup: k = 1 with both ranks covering (x = 0, which
+:func:`~repro.core.simulation.build_setup` rejects for k-set agreement)
+and a larger solo budget.
+
 Experiment E7 runs this harness over the real
 :class:`~repro.protocols.approximate.AveragingApprox` protocol for varying
-ε and m and measures the simulators' step counts, exhibiting the
-ε-independence the contradiction rests on.
+ε and m and measures the simulators' step counts
+(:attr:`~repro.core.simulation.SimulationOutcome.max_steps_taken`),
+exhibiting the ε-independence the contradiction rests on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence
+from typing import Any, Sequence
 
 from repro.augmented.object import AugmentedSnapshot
 from repro.core.simulation import (
-    SIM_DECISION_TAG,
+    SimulationOutcome,
     SimulationSetup,
-    covering_simulator_body,
+    _run_simulators,
 )
 from repro.errors import ValidationError
 from repro.protocols.base import Protocol
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.system import ExecutionResult, System
-
-
-@dataclass
-class ApproxSimulationOutcome:
-    """Result of one Appendix D simulation run."""
-
-    setup: SimulationSetup
-    system: System
-    aug: AugmentedSnapshot
-    result: ExecutionResult
-    decisions: Dict[int, Any] = field(default_factory=dict)
-    steps_per_simulator: Dict[int, int] = field(default_factory=dict)
-
-    @property
-    def all_decided(self) -> bool:
-        return len(self.decisions) == 2
-
-    @property
-    def max_steps_taken(self) -> int:
-        return max(self.steps_per_simulator.values(), default=0)
-
-    def task_violations(self, task) -> List[str]:
-        """Check the simulators' outputs against a task specification."""
-        return task.check(list(self.setup.inputs), self.decisions)
 
 
 def run_approx_simulation(
@@ -62,7 +45,7 @@ def run_approx_simulation(
     max_steps: int = 500_000,
     solo_budget: int = 200_000,
     object_name: str = "M",
-) -> ApproxSimulationOutcome:
+) -> SimulationOutcome:
     """Run the two-covering-simulator reduction of Appendix D.
 
     ``protocol`` must be specified for at least ``2 * protocol.m``
@@ -87,26 +70,4 @@ def run_approx_simulation(
         process_map={0: tuple(range(m)), 1: tuple(range(m, 2 * m))},
     )
     aug = AugmentedSnapshot(object_name, components=m, pids=[0, 1])
-    system = System()
-    for rank in (0, 1):
-        system.add_process(
-            covering_simulator_body(setup, aug, rank, solo_budget),
-            pid=rank,
-            name=f"cover-q{rank}",
-        )
-    result = system.run(scheduler, max_steps=max_steps)
-    decisions = {
-        event.payload["rank"]: event.payload["value"]
-        for event in system.trace.annotations(SIM_DECISION_TAG)
-    }
-    steps = {
-        rank: system.processes[rank].steps_taken for rank in (0, 1)
-    }
-    return ApproxSimulationOutcome(
-        setup=setup,
-        system=system,
-        aug=aug,
-        result=result,
-        decisions=decisions,
-        steps_per_simulator=steps,
-    )
+    return _run_simulators(setup, aug, scheduler, max_steps, solo_budget)

@@ -173,8 +173,9 @@ def _anchor_for(
 def check_correspondence(outcome) -> Correspondence:
     """Reconstruct **σ** for a simulation outcome and verify Lemma 28.
 
-    ``outcome`` is a :class:`~repro.core.simulation.SimulationOutcome` or
-    :class:`~repro.core.approx.ApproxSimulationOutcome`.
+    ``outcome`` is a :class:`~repro.core.simulation.SimulationOutcome`,
+    from :func:`~repro.core.simulation.run_simulation` or
+    :func:`~repro.core.approx.run_approx_simulation`.
     """
     setup: SimulationSetup = outcome.setup
     protocol: Protocol = setup.protocol

@@ -347,6 +347,14 @@ class SimulationOutcome:
     def all_decided(self) -> bool:
         return len(self.decisions) == self.setup.simulator_count
 
+    @property
+    def max_steps_taken(self) -> int:
+        """The most primitive steps any one simulator took."""
+        return max(
+            (proc.steps_taken for proc in self.system.processes.values()),
+            default=0,
+        )
+
     def task_violations(self, task) -> List[str]:
         """Check the simulators' outputs against a task specification."""
         return task.check(list(self.setup.inputs), self.decisions)
@@ -402,8 +410,22 @@ def run_simulation(
         register_level=register_level,
         annotate=aug_annotations,
     )
+    return _run_simulators(
+        setup, aug, scheduler, max_steps, solo_budget, unsafe_anchor
+    )
+
+
+def _run_simulators(
+    setup: SimulationSetup,
+    aug: AugmentedSnapshot,
+    scheduler: Scheduler,
+    max_steps: int,
+    solo_budget: int,
+    unsafe_anchor: bool = False,
+) -> SimulationOutcome:
+    """Run one body per rank of ``setup`` on ``aug`` and collect decisions."""
     system = System()
-    for rank in range(k + 1):
+    for rank in range(setup.simulator_count):
         if rank in setup.covering_ranks:
             body = covering_simulator_body(
                 setup, aug, rank, solo_budget, unsafe_anchor=unsafe_anchor

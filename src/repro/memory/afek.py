@@ -27,14 +27,23 @@ from typing import Any, Dict, Generator, List, Sequence, Tuple
 
 from repro.errors import ModelError
 from repro.memory.registers import Register
-from repro.runtime.events import Annotate, Invoke
-
-#: Annotation tag for begin/end markers of composed-object operations; the
-#: linearizability checker extracts histories from these.
-OBJECT_OP_TAG = "object.op"
+from repro.runtime.events import Invoke, OpMarkers
 
 
-class AfekSnapshot:
+class _DoubleCollectSnapshot(OpMarkers):
+    """The scan frame both constructions share: markers around the
+    construction's own double-collect loop, ``_scan_inner``."""
+
+    def scan(self, pid: int) -> Generator[Invoke, Any, Tuple[Any, ...]]:
+        """Wait-free linearizable scan; one value per component, in order."""
+        op_id = self._next_op_id()
+        yield self._marker("begin", "scan", op_id)
+        view = yield from self._scan_inner(pid)
+        yield self._marker("end", "scan", op_id, result=view)
+        return view
+
+
+class AfekSnapshot(_DoubleCollectSnapshot):
     """Single-writer atomic snapshot from one register per writer.
 
     Register ``i`` holds ``(seq, value, view)`` where ``view`` is the result
@@ -55,21 +64,10 @@ class AfekSnapshot:
             for pid in self.writers
         }
         self._local_seq: Dict[int, int] = {pid: 0 for pid in self.writers}
-        self._op_counter = 0
 
     def register_count(self) -> int:
         """One register per writer."""
         return len(self.registers)
-
-    def _marker(self, phase: str, op: str, op_id: str, **extra) -> Annotate:
-        payload = {"object": self.name, "phase": phase, "op": op,
-                   "op_id": op_id}
-        payload.update(extra)
-        return Annotate(OBJECT_OP_TAG, payload)
-
-    def _next_op_id(self) -> str:
-        self._op_counter += 1
-        return f"{self.name}#{self._op_counter}"
 
     # ------------------------------------------------------------------
     def _collect(self) -> Generator[Invoke, Any, Dict[int, Tuple]]:
@@ -78,14 +76,6 @@ class AfekSnapshot:
         for pid in self.writers:
             collected[pid] = yield Invoke(self.registers[pid], "read")
         return collected
-
-    def scan(self, pid: int) -> Generator[Invoke, Any, Tuple[Any, ...]]:
-        """Wait-free linearizable scan; returns a tuple indexed by writer order."""
-        op_id = self._next_op_id()
-        yield self._marker("begin", "scan", op_id)
-        view = yield from self._scan_inner(pid)
-        yield self._marker("end", "scan", op_id, result=view)
-        return view
 
     def _scan_inner(self, pid: int) -> Generator[Invoke, Any, Tuple[Any, ...]]:
         moved: Dict[int, int] = {w: 0 for w in self.writers}
@@ -123,7 +113,7 @@ class AfekSnapshot:
         return None
 
 
-class AfekMWSnapshot:
+class AfekMWSnapshot(_DoubleCollectSnapshot):
     """Multi-writer m-component atomic snapshot from m registers.
 
     Register ``j`` holds ``(tag, value, view)`` where ``tag = (writer, seq)``
@@ -149,21 +139,10 @@ class AfekMWSnapshot:
             for j in range(components)
         ]
         self._local_seq: Dict[int, int] = {}
-        self._op_counter = 0
 
     def register_count(self) -> int:
         """Exactly m registers, as [AAD+93] promises."""
         return self.m
-
-    def _marker(self, phase: str, op: str, op_id: str, **extra) -> Annotate:
-        payload = {"object": self.name, "phase": phase, "op": op,
-                   "op_id": op_id}
-        payload.update(extra)
-        return Annotate(OBJECT_OP_TAG, payload)
-
-    def _next_op_id(self) -> str:
-        self._op_counter += 1
-        return f"{self.name}#{self._op_counter}"
 
     # ------------------------------------------------------------------
     def _collect(self) -> Generator[Invoke, Any, List[Tuple]]:
@@ -172,14 +151,6 @@ class AfekMWSnapshot:
             cell = yield Invoke(reg, "read")
             collected.append(cell)
         return collected
-
-    def scan(self, pid: int) -> Generator[Invoke, Any, Tuple[Any, ...]]:
-        """Wait-free linearizable scan of all m components."""
-        op_id = self._next_op_id()
-        yield self._marker("begin", "scan", op_id)
-        view = yield from self._scan_inner(pid)
-        yield self._marker("end", "scan", op_id, result=view)
-        return view
 
     def _scan_inner(self, pid: int) -> Generator[Invoke, Any, Tuple[Any, ...]]:
         seen_writers: Dict[Any, int] = {}

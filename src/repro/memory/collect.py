@@ -24,12 +24,10 @@ from typing import Any, Dict, Generator, List, Sequence, Tuple
 
 from repro.errors import ModelError
 from repro.memory.registers import Register
-from repro.runtime.events import Annotate, Invoke
-
-COLLECT_OP_TAG = "object.op"
+from repro.runtime.events import Invoke, OpMarkers
 
 
-class Collect:
+class Collect(OpMarkers):
     """A store/collect object over one single-writer register per process."""
 
     def __init__(self, name: str, writers: Sequence[int], initial: Any = None):
@@ -41,21 +39,10 @@ class Collect:
             pid: Register(f"{name}.R[{pid}]", initial=initial, writer=pid)
             for pid in self.writers
         }
-        self._op_counter = 0
 
     def register_count(self) -> int:
         """One register per writer."""
         return len(self.registers)
-
-    def _next_op_id(self) -> str:
-        self._op_counter += 1
-        return f"{self.name}#{self._op_counter}"
-
-    def _marker(self, phase: str, op: str, op_id: str, **extra) -> Annotate:
-        payload = {"object": self.name, "phase": phase, "op": op,
-                   "op_id": op_id}
-        payload.update(extra)
-        return Annotate(COLLECT_OP_TAG, payload)
 
     def store(self, pid: int, value: Any) -> Generator[Any, Any, None]:
         """Atomically write the caller's own register (one step)."""

@@ -35,12 +35,11 @@ from __future__ import annotations
 from typing import Any, Generator, List, Tuple
 
 from repro.errors import ModelError
-from repro.memory.afek import OBJECT_OP_TAG  # noqa: F401  (re-exported)
 from repro.memory.registers import Register
-from repro.runtime.events import Annotate, Invoke
+from repro.runtime.events import Invoke, OpMarkers
 
 
-class LargeRegister:
+class LargeRegister(OpMarkers):
     """Single-writer ℓ-valued regular register from ℓ binary registers.
 
     ``domain`` is ℓ (values are ``0..domain-1``); ``writer`` is the only
@@ -68,7 +67,6 @@ class LargeRegister:
             )
             for j in range(domain)
         ]
-        self._op_counter = 0
 
     def __repr__(self) -> str:
         return f"LargeRegister({self.name!r}, domain={self.domain})"
@@ -76,16 +74,6 @@ class LargeRegister:
     def register_count(self) -> int:
         """ℓ binary registers — the cost Wei (2018) charges this design."""
         return self.domain
-
-    def _marker(self, phase: str, op: str, op_id: str, **extra) -> Annotate:
-        payload = {"object": self.name, "phase": phase, "op": op,
-                   "op_id": op_id}
-        payload.update(extra)
-        return Annotate(OBJECT_OP_TAG, payload)
-
-    def _next_op_id(self) -> str:
-        self._op_counter += 1
-        return f"{self.name}#{self._op_counter}"
 
     # ------------------------------------------------------------------
     def write(self, pid: int, value: int) -> Generator[Any, Any, None]:

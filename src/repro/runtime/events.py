@@ -6,7 +6,8 @@ on a shared object.  Process bodies request steps by yielding
 response back into the generator.  :class:`Annotate` is a zero-cost marker
 (it does not consume a scheduling step) used by composed objects to record
 the begin/end of high-level operations, which the Appendix B linearization
-analysis needs in order to know execution intervals.
+analysis needs in order to know execution intervals.  :class:`OpMarkers`
+builds the ones composed objects share, under :data:`OBJECT_OP_TAG`.
 
 Every applied step is recorded as an :class:`Event` in the system trace with
 a globally unique, monotonically increasing sequence number.  The trace is
@@ -84,6 +85,36 @@ class Annotate:
 
     def __hash__(self) -> int:
         return hash((self.tag, self.payload))
+
+
+#: Tag of the begin/end markers composed objects put around each operation;
+#: :func:`repro.analysis.linearizability.history_from_trace` reads
+#: operation histories back from them.
+OBJECT_OP_TAG = "object.op"
+
+
+class OpMarkers:
+    """Mixin: numbered :data:`OBJECT_OP_TAG` markers for a composed object.
+
+    A composed object (its operations are generators of primitive steps,
+    like the [AAD+93] snapshots) yields ``_marker("begin", op, op_id)``
+    before an operation and ``_marker("end", op, op_id, result=...)``
+    after it.  Op ids are ``"<name>#<n>"``, numbered per object from 1;
+    the object needs only a ``name``.
+    """
+
+    name: str
+    _op_counter = 0  # per instance once the first op id is drawn
+
+    def _next_op_id(self) -> str:
+        self._op_counter += 1
+        return f"{self.name}#{self._op_counter}"
+
+    def _marker(self, phase: str, op: str, op_id: str, **extra) -> Annotate:
+        payload = {"object": self.name, "phase": phase, "op": op,
+                   "op_id": op_id}
+        payload.update(extra)
+        return Annotate(OBJECT_OP_TAG, payload)
 
 
 class Event:

@@ -10,13 +10,12 @@ recorded as the process output).
 
 The wrapper tracks lifecycle: READY (can be scheduled), DONE (returned),
 CRASHED (explicitly crashed by the scheduler, modelling a faulty process).
+Only :meth:`repro.runtime.system.System.step` resumes a body.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Generator, Optional
-
-from repro.errors import SchedulerError
 
 READY = "ready"
 DONE = "done"
@@ -45,7 +44,6 @@ class Process:
         self.steps_taken = 0
         self.status = READY
         self._generator = body(self)
-        self._started = False
         self._pending: Any = None  # next Invoke awaiting the system
 
     def __repr__(self) -> str:
@@ -55,29 +53,6 @@ class Process:
     def is_active(self) -> bool:
         """True while the process can still be scheduled."""
         return self.status == READY
-
-    def advance(self, response: Any = None) -> Any:
-        """Resume the body with ``response`` and return its next request.
-
-        Returns the next yielded item (Invoke/Annotate) or ``None`` when the
-        body returned; in that case the process becomes DONE and its return
-        value is captured in :attr:`output`.
-        """
-        if self.status != READY:
-            raise SchedulerError(
-                f"cannot advance process {self.pid} with status {self.status}"
-            )
-        try:
-            if not self._started:
-                self._started = True
-                request = next(self._generator)
-            else:
-                request = self._generator.send(response)
-        except StopIteration as stop:
-            self.status = DONE
-            self.output = stop.value
-            return None
-        return request
 
     def crash(self) -> None:
         """Mark the process crashed; it will never take another step."""

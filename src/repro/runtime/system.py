@@ -162,7 +162,6 @@ class System:
         applied = False
         try:
             if request is None:
-                proc._started = True
                 request = next(generator)
             while True:
                 if isinstance(request, Invoke):

@@ -16,7 +16,10 @@ Runs pinned:
   0–39 (the Theorem 3 falsifier the service's falsify job runs);
 * ``ablation/<seed>`` — the E8 ablation (``unsafe_anchor=True``) on
   the rotating protocol, seeds 0–9; its violation messages are pinned
-  verbatim too, so the checker's wording cannot drift unseen.
+  verbatim too, so the checker's wording cannot drift unseen;
+* ``approx/<seed>`` — the Appendix D reduction (two covering
+  simulators) on ``TruncatedProtocol(AveragingApprox(4, 2**-8), 2)``,
+  seeds 0–19.
 
 The encoding is ``repr`` of plain tuples, dicts and the library's value
 types, so the digests do not depend on ``PYTHONHASHSEED``.  A drift
@@ -29,9 +32,10 @@ import os
 
 import pytest
 
+from repro.core.approx import run_approx_simulation
 from repro.core.invariant import check_correspondence
 from repro.core.simulation import run_simulation
-from repro.protocols import RotatingWrites
+from repro.protocols import AveragingApprox, RotatingWrites, TruncatedProtocol
 from repro.protocols.scenarios import FALSIFY_KX, falsify_target
 from repro.runtime.scheduler import RandomScheduler
 
@@ -42,6 +46,7 @@ PIN_PATH = os.path.join(
 ROTATING_SEEDS = range(40)
 FALSIFY_SEEDS = range(40)
 ABLATION_SEEDS = range(10)
+APPROX_SEEDS = range(20)
 
 
 def _rotating(seed, unsafe_anchor=False):
@@ -57,6 +62,13 @@ def _falsify(seed):
     return run_simulation(
         protocol, k=k, x=x, inputs=list(inputs),
         scheduler=RandomScheduler(seed),
+    )
+
+
+def _approx(seed):
+    return run_approx_simulation(
+        TruncatedProtocol(AveragingApprox(4, 2**-8), 2), [0, 1],
+        RandomScheduler(seed),
     )
 
 
@@ -89,6 +101,8 @@ def compute_pins():
         name = f"ablation/{seed}"
         digests[name], check = run_digest(_rotating(seed, unsafe_anchor=True))
         violations[name] = list(check.violations)
+    for seed in APPROX_SEEDS:
+        digests[f"approx/{seed}"], _ = run_digest(_approx(seed))
     return {"digests": digests, "ablation_violations": violations}
 
 
@@ -110,7 +124,9 @@ def test_pins_cover_every_run(pins, golden):
     )
 
 
-@pytest.mark.parametrize("family", ["rotating", "falsify", "ablation"])
+@pytest.mark.parametrize(
+    "family", ["rotating", "falsify", "ablation", "approx"]
+)
 def test_run_digests_match(pins, golden, family):
     drifted = [
         f"{name}: {digest}"

@@ -1,10 +1,12 @@
-"""Unit tests for the Process wrapper."""
+"""Unit tests for the Process wrapper, driven through the System."""
 
 import pytest
 
 from repro.errors import SchedulerError
 from repro.memory import Register
-from repro.runtime import CRASHED, DONE, READY, Invoke, Process
+from repro.runtime import (
+    CRASHED, DONE, READY, Invoke, Process, RoundRobinScheduler, System,
+)
 
 
 def make_register():
@@ -30,34 +32,40 @@ class TestLifecycle:
             return 42
             yield  # pragma: no cover - makes body a generator
 
-        proc = Process(0, body)
-        assert proc.advance() is None
+        system = System()
+        proc = system.add_process(body)
+        assert system.step(0) is False  # finished without a step
         assert proc.status == DONE
         assert proc.output == 42
         assert not proc.is_active
 
     def test_advance_returns_yielded_request(self):
+        """A step applies the body's request and holds the next one."""
         reg = make_register()
 
         def body(p):
             yield Invoke(reg, "read")
+            yield Invoke(reg, "write", (5,))
 
-        proc = Process(0, body)
-        request = proc.advance()
+        system = System()
+        system.add_process(body)
+        assert system.step(0) is True
+        assert [e.op for e in system.trace.steps()] == ["read"]
+        request = system.pending_operation(0)
         assert isinstance(request, Invoke)
-        assert request.op == "read"
+        assert request.op == "write"
 
     def test_response_is_delivered(self):
-        reg = make_register()
+        reg = Register("r", initial=99)
         seen = []
 
         def body(p):
             value = yield Invoke(reg, "read")
             seen.append(value)
 
-        proc = Process(0, body)
-        proc.advance()
-        proc.advance(99)
+        system = System()
+        proc = system.add_process(body)
+        system.run(RoundRobinScheduler())
         assert seen == [99]
         assert proc.status == DONE
 
@@ -66,10 +74,11 @@ class TestLifecycle:
             return None
             yield  # pragma: no cover
 
-        proc = Process(0, body)
-        proc.advance()
+        system = System()
+        system.add_process(body)
+        system.step(0)
         with pytest.raises(SchedulerError):
-            proc.advance()
+            system.step(0)
 
 
 class TestCrash:
@@ -80,20 +89,22 @@ class TestCrash:
             yield Invoke(reg, "read")
             yield Invoke(reg, "read")
 
-        proc = Process(0, body)
-        proc.advance()
-        proc.crash()
+        system = System()
+        proc = system.add_process(body)
+        system.step(0)
+        system.crash(0)
         assert proc.status == CRASHED
         with pytest.raises(SchedulerError):
-            proc.advance()
+            system.step(0)
 
     def test_crash_after_done_is_noop(self):
         def body(p):
             return "out"
             yield  # pragma: no cover
 
-        proc = Process(0, body)
-        proc.advance()
+        system = System()
+        proc = system.add_process(body)
+        system.run(RoundRobinScheduler())
         proc.crash()
         assert proc.status == DONE
         assert proc.output == "out"
