@@ -24,7 +24,6 @@ The package is layered exactly like the paper:
 from repro.errors import (
     BenchSchemaError,
     DivergenceError,
-    LinearizabilityError,
     ModelError,
     ProtocolError,
     ReproError,
@@ -40,7 +39,6 @@ __all__ = [
     "ModelError",
     "ProtocolError",
     "SchedulerError",
-    "LinearizabilityError",
     "SimulationError",
     "DivergenceError",
     "ValidationError",

@@ -11,10 +11,12 @@ linearize:
   timestamp, then component).
 
 This module reconstructs operations from a system trace (using the begin/end
-annotations emitted by :class:`~repro.augmented.object.AugmentedSnapshot`),
-computes those linearization points, and provides one checker per Appendix B
-result.  Checkers return lists of human-readable violation strings — empty
-means the lemma held on this execution — so the test-suite and the E1
+annotations emitted by :class:`~repro.augmented.object.AugmentedSnapshot`,
+read under the object's ``OP_TAG``, so the partially augmented snapshot of
+:mod:`repro.augmented.partial` is analysed too), computes those
+linearization points, and provides one checker per Appendix B result.
+Checkers return lists of human-readable violation strings — empty means
+the lemma held on this execution — so the test-suite and the E1
 experiment can assert emptiness over thousands of schedules.
 """
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.augmented.object import AUG_OP_TAG, AugmentedSnapshot
+from repro.augmented.object import AugmentedSnapshot
 from repro.errors import ValidationError
 from repro.runtime.events import Trace
 from repro.timestamps import VectorTimestamp
@@ -31,7 +33,13 @@ from repro.timestamps import VectorTimestamp
 
 @dataclass
 class BlockUpdateRecord:
-    """One Block-Update operation reconstructed from the trace."""
+    """One Block-Update operation reconstructed from the trace.
+
+    A one-component ``update`` of the partially augmented snapshot is
+    recorded the same way, with ``result="update"``: it is never ☡ and
+    returns no view, so the checkers treat it like the Updates of a ☡
+    Block-Update.
+    """
 
     op_id: str
     rank: int
@@ -39,7 +47,8 @@ class BlockUpdateRecord:
     components: Tuple[int, ...]
     values: Tuple[Any, ...]
     end_seq: Optional[int] = None
-    result: Optional[str] = None  # "view" | "yield" | None if incomplete
+    # "view" | "yield" | "update" | None if incomplete
+    result: Optional[str] = None
     returned_view: Any = None
     timestamp: Optional[VectorTimestamp] = None
     h_scan_seq: Optional[int] = None  # line 23 scan
@@ -131,7 +140,7 @@ def _walk(
             "construction, so the Appendix B trace analysis (which reads "
             "native H steps) is unavailable — run in native mode to analyse"
         )
-    h_name = obj.H.name
+    h_name, tag = obj.H.name, obj.OP_TAG
     open_ops: Dict[int, Any] = {}  # pid is unique per op at a time: rank -> record
     bus: List[BlockUpdateRecord] = []
     scans: List[ScanRecord] = []
@@ -143,14 +152,14 @@ def _walk(
     for event in trace:
         kind = event.kind
         if kind == "annotate":
-            if event.tag != AUG_OP_TAG:
+            if event.tag != tag:
                 continue
             info = event.payload
             if info.get("object") != obj.name:
                 continue
             rank = info["rank"]
             if info["phase"] == "begin":
-                if info["kind"] == "block_update":
+                if info["kind"] != "scan":
                     record = BlockUpdateRecord(
                         op_id=info["op_id"],
                         rank=rank,

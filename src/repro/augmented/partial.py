@@ -23,7 +23,11 @@ What it adds:
   exists to prevent — the constructive answer to "why is Figure 1 so
   careful?".
 
-Its markers carry the tag ``partial.op`` rather than ``aug.op``.
+Its markers carry the tag ``partial.op`` rather than ``aug.op``; every
+operation, the one-component ``update`` included, is bracketed by
+begin/end markers, so the Appendix B checkers of
+:mod:`repro.augmented.linearization` read its traces as they read the
+full object's.
 """
 
 from __future__ import annotations
@@ -68,11 +72,22 @@ class PartialAugmentedSnapshot(AugmentedSnapshot):
         rank = self.rank_of(pid)
         if not 0 <= component < self.m:
             raise ValidationError(f"component {component} out of range")
+        op_id = self._next_op_id("U")
+        yield Annotate(PARTIAL_OP_TAG, {
+            "object": self.name, "kind": "update", "phase": "begin",
+            "op_id": op_id, "rank": rank, "components": (component,),
+            "values": (value,),
+        })
         h = yield self._h_scan
         stamp = timestamp_for_counts(self._history_counts(h), rank)
         yield Invoke(
             self.H, "update", (rank, h[rank] + ((component, value, stamp),))
         )
+        yield Annotate(PARTIAL_OP_TAG, {
+            "object": self.name, "kind": "update", "phase": "end",
+            "op_id": op_id, "rank": rank, "timestamp": stamp,
+            "result": "update",
+        })
         return None
 
     def block_update(
@@ -108,6 +123,7 @@ class PartialAugmentedSnapshot(AugmentedSnapshot):
         view = yield from self._helped_view(rank, h, h_counts[rank])
         yield Annotate(PARTIAL_OP_TAG, {
             "object": self.name, "kind": "block_update", "phase": "end",
-            "op_id": op_id, "rank": rank, "timestamp": stamp, "view": view,
+            "op_id": op_id, "rank": rank, "timestamp": stamp,
+            "result": "view", "view": view,
         })
         return view

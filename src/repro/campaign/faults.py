@@ -278,10 +278,6 @@ class FaultPlan:
         """A plan that kills the whole campaign at one chunk (Ctrl-C seam)."""
         return FaultPlan({chunk_index: FaultSpec("kill")})
 
-    def spec_for(self, chunk_index: int) -> Optional[FaultSpec]:
-        """The fault configured at ``chunk_index``, if any."""
-        return self.faults.get(chunk_index)
-
     def apply(
         self, chunk_index: int, attempt: int, clock: Optional[Clock] = None
     ) -> None:

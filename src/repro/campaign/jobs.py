@@ -8,8 +8,9 @@ chunk through the ordinary serial harness (:mod:`repro.core.sweep`,
 :mod:`repro.analysis.fuzz`) and returns a partial report for merging.
 
 Because workers call the *same* serial functions over sub-ranges, the
-parallel path cannot drift from the serial one: the differential suite
-(tests/campaign/test_differential.py) holds them byte-identical.
+parallel path cannot drift from the serial one: the ``sharded`` column
+of the differential matrix (tests/test_matrix.py) holds them
+byte-identical.
 """
 
 from __future__ import annotations

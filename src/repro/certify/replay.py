@@ -24,7 +24,7 @@ campaign workers untrusted, and a test enforces it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 from repro.errors import CertificateError
 from repro.protocols.base import DECIDE, RMW, SCAN, UPDATE, Protocol
@@ -283,15 +283,3 @@ class SequentialCompareAndSwap:
                 return new, state
             return state, state
         raise CertificateError(f"CAS spec has no operation {op!r}")
-
-
-def apply_sequentially(
-    spec, operations: Sequence[Tuple[str, Sequence[Any]]]
-) -> List[Any]:
-    """Apply operations in order to a fresh spec state; returns results."""
-    state = spec.initial_state()
-    results = []
-    for op, args in operations:
-        state, result = spec.apply(state, op, args)
-        results.append(result)
-    return results

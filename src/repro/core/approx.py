@@ -44,7 +44,6 @@ def run_approx_simulation(
     scheduler: Scheduler,
     max_steps: int = 500_000,
     solo_budget: int = 200_000,
-    object_name: str = "M",
 ) -> SimulationOutcome:
     """Run the two-covering-simulator reduction of Appendix D.
 
@@ -69,5 +68,5 @@ def run_approx_simulation(
         direct_ranks=(),
         process_map={0: tuple(range(m)), 1: tuple(range(m, 2 * m))},
     )
-    aug = AugmentedSnapshot(object_name, components=m, pids=[0, 1])
+    aug = AugmentedSnapshot("M", components=m, pids=[0, 1])
     return _run_simulators(setup, aug, scheduler, max_steps, solo_budget)

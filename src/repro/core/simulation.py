@@ -376,7 +376,6 @@ def run_simulation(
     scheduler: Scheduler,
     max_steps: int = 500_000,
     solo_budget: int = 100_000,
-    object_name: str = "M",
     unsafe_anchor: bool = False,
     register_level: bool = False,
     aug_annotations: bool = True,
@@ -404,7 +403,7 @@ def run_simulation(
     """
     setup = build_setup(protocol, k, x, inputs)
     aug = AugmentedSnapshot(
-        object_name,
+        "M",
         components=protocol.m,
         pids=list(range(k + 1)),
         register_level=register_level,

@@ -32,10 +32,6 @@ class SchedulerError(ReproError):
     """A scheduler requested a step from a crashed or terminated process."""
 
 
-class LinearizabilityError(ReproError):
-    """A history that was required to be linearizable is not."""
-
-
 class SimulationError(ReproError):
     """The revisionist simulation reached a state the paper proves unreachable.
 

@@ -4,6 +4,11 @@ showing why the full Figure 1 object needs the yield sign."""
 import pytest
 
 from repro.augmented import AugmentedSnapshot, YIELD
+from repro.augmented.linearization import (
+    check_all,
+    check_returned_views,
+    linearize,
+)
 from repro.augmented.partial import PartialAugmentedSnapshot
 from repro.errors import ModelError, ValidationError
 from repro.runtime import AdversarialScheduler, RandomScheduler, RoundRobinScheduler, System
@@ -112,6 +117,14 @@ class TestBehaviour:
         # from before the Block-Update).
         for index, view in enumerate(log["bu_views"]):
             assert view[0] in (None, *[f"q0.{r}" for r in range(index)])
+        # Appendix B reads the partial object's markers: every Update
+        # (q0's and the single-component ones) and every Scan linearizes,
+        # and no lemma fails.
+        lin = linearize(system.trace, obj)
+        assert [len(r.components) for r in lin.block_updates] == [1] * 7
+        assert sum(p.kind == "update" for p in lin.sigma) == 7
+        assert sum(p.kind == "scan" for p in lin.sigma) == len(lin.scans) == 4
+        assert check_all(system.trace, obj) == []
 
 
 class TestWhyFigureOneNeedsYield:
@@ -143,6 +156,12 @@ class TestWhyFigureOneNeedsYield:
         # overlap (the Lemma 21 violation the yield sign prevents).
         q1_view = system.processes[1].output
         assert q1_view[0] is None  # "A" is missing
+        # The Appendix B checker names the broken lemma: no admissible
+        # point before q1's Updates holds the view it returned.
+        [violation] = check_returned_views(linearize(system.trace, obj))
+        assert violation.startswith("Block-Update B")
+        assert "returned (None, None)" in violation
+        assert check_all(system.trace, obj) == [violation]
 
     def test_full_object_yields_under_same_schedule(self):
         aug = AugmentedSnapshot("M", components=2, pids=[0, 1])

@@ -1,16 +1,12 @@
-"""Differential suite: parallel campaigns equal serial runs exactly.
+"""Pump drains of the sweep and fuzz campaigns equal serial runs exactly.
 
-For a grid of (harness, protocol, instance, worker count), the campaign
-engine's merged report must equal the plain serial harness call
-field-for-field — including ``decisions_histogram`` and
-``first_violating_seed`` — and even as a byte string (``repr``).  This
-is the evidence that parallelism never changes a scientific result.
-
-The ``TestPump*`` classes rerun the same grid with one more drain: the
-campaign helpers' ``run_campaign`` is replaced by a
-:class:`~repro.campaign.pump.CampaignPump` driven chunk-by-chunk on the
-calling thread, completing chunks in the order it hands them out or in
-reverse, and the merged report must still equal the serial harness.
+The campaign helpers' ``run_campaign`` becomes the differential
+matrix's pump drain (``tests/test_matrix.py``) at 1, 2 and 4 workers,
+completing chunks in hand-out or reverse order, and the merged report
+must equal the serial harness call by ``==``, ``repr`` and
+``summary()``.  The matrix's ``sharded`` column runs the same
+instances through ``run_campaign``; folding these drains into it is
+open in ROADMAP.md.
 """
 
 import functools
@@ -24,60 +20,23 @@ from repro.campaign import (
     sweep_protocol_campaign,
     sweep_simulation_campaign,
 )
-from repro.campaign.pump import CampaignPump, execute_chunk
 from repro.core.sweep import sweep_protocol, sweep_simulation
 from repro.protocols import (
     KSetAgreementTask,
     MinSeen,
     RacingConsensus,
-    RotatingWrites,
     TruncatedProtocol,
 )
+from tests.test_matrix import assert_identical, drain_pump
 
 WORKER_GRID = [1, 2, 4]
 
 
-def drain_pump(job, workers=None, chunk_size=None, *, order,
-               faults=None, **options):
-    """Run a campaign through a pump on this thread.
-
-    ``order="handed"`` completes each chunk as it is handed out;
-    ``order="reversed"`` hands out every ready chunk first and completes
-    them in reverse, so the merge sees out-of-order completions.
-    """
-    assert faults is None
-    pump = CampaignPump(job, workers, chunk_size, **options)
-    while not pump.done:
-        tasks = []
-        while order == "reversed" or not tasks:
-            task = pump.next_chunk()
-            if task is None:
-                break
-            tasks.append(task)
-        assert tasks, "pump stalled with work outstanding"
-        if order == "reversed":
-            tasks.reverse()
-        for task in tasks:
-            _, report, stats = execute_chunk(
-                pump.job, task.index, task.start, task.stop, task.attempt
-            )
-            pump.complete(task, report, stats)
-    result = pump.finalize()
-    assert result.complete
-    return result
-
-
 @pytest.fixture(params=["handed", "reversed"])
 def pump_drain(request, monkeypatch):
-    """Route the campaign helpers through :func:`drain_pump`."""
+    """Route the campaign helpers through the matrix's pump drain."""
     monkeypatch.setattr(engine, "run_campaign",
                         functools.partial(drain_pump, order=request.param))
-
-
-def assert_reports_identical(parallel, serial):
-    assert parallel == serial
-    assert repr(parallel) == repr(serial)
-    assert parallel.summary() == serial.summary()
 
 
 PROTOCOL_CASES = [
@@ -90,18 +49,6 @@ PROTOCOL_CASES = [
 
 
 class TestSweepProtocolDifferential:
-    @pytest.mark.parametrize("case", range(len(PROTOCOL_CASES)))
-    @pytest.mark.parametrize("workers", WORKER_GRID)
-    def test_matches_serial(self, case, workers):
-        make, inputs, task = PROTOCOL_CASES[case]
-        seeds = range(12)
-        serial = sweep_protocol(make(), inputs, seeds, task=task)
-        result = sweep_protocol_campaign(
-            make(), inputs, seeds, task=task, workers=workers,
-            chunk_size=5,
-        )
-        assert_reports_identical(result.report, serial)
-
     def test_histogram_and_min_seed_fields(self):
         # The violating case: every field the write-ups quote must agree.
         make, inputs, task = PROTOCOL_CASES[2]
@@ -117,7 +64,27 @@ class TestSweepProtocolDifferential:
         )
 
 
-class TestSweepSimulationDifferential:
+@pytest.mark.usefixtures("pump_drain")
+class TestPumpSweepProtocolDifferential(TestSweepProtocolDifferential):
+    """The sweep-protocol grid, drained through a pump."""
+
+    @pytest.mark.parametrize("case", range(len(PROTOCOL_CASES)))
+    @pytest.mark.parametrize("workers", WORKER_GRID)
+    def test_matches_serial(self, case, workers):
+        make, inputs, task = PROTOCOL_CASES[case]
+        seeds = range(12)
+        serial = sweep_protocol(make(), inputs, seeds, task=task)
+        result = sweep_protocol_campaign(
+            make(), inputs, seeds, task=task, workers=workers,
+            chunk_size=5,
+        )
+        assert_identical(result.report, serial, "pump drain")
+
+
+@pytest.mark.usefixtures("pump_drain")
+class TestPumpSweepSimulationDifferential:
+    """The falsifier sweep, drained through a pump."""
+
     @pytest.mark.parametrize("workers", WORKER_GRID)
     def test_falsifier_matches_serial(self, workers):
         protocol = TruncatedProtocol(RacingConsensus(2), 1)
@@ -130,25 +97,14 @@ class TestSweepSimulationDifferential:
             inputs=[0, 1], seeds=range(8), task=KSetAgreementTask(1),
             workers=workers, chunk_size=3,
         )
-        assert_reports_identical(result.report, serial)
+        assert_identical(result.report, serial, "pump drain")
         assert result.report.first_violating_seed == 0
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_verified_positive_matches_serial(self, workers):
-        serial = sweep_simulation(
-            RotatingWrites(7, 3, rounds=6), k=2, x=1, inputs=[5, 2, 8],
-            seeds=range(6), verify_correspondence=True,
-        )
-        result = sweep_simulation_campaign(
-            RotatingWrites(7, 3, rounds=6), k=2, x=1, inputs=[5, 2, 8],
-            seeds=range(6), verify_correspondence=True, workers=workers,
-            chunk_size=2,
-        )
-        assert_reports_identical(result.report, serial)
-        assert result.report.clean
 
+@pytest.mark.usefixtures("pump_drain")
+class TestPumpFuzzDifferential:
+    """The fuzz grid, drained through a pump."""
 
-class TestFuzzDifferential:
     @pytest.mark.parametrize("workers", WORKER_GRID)
     def test_violating_fuzz_matches_serial(self, workers):
         protocol = TruncatedProtocol(RacingConsensus(3), 1)
@@ -161,7 +117,7 @@ class TestFuzzDifferential:
             KSetAgreementTask(1), runs=80, schedule_length=40, seed=3,
             workers=workers, chunk_size=9,
         )
-        assert_reports_identical(result.report, serial)
+        assert_identical(result.report, serial, "pump drain")
         # The shrunken counterexample is the same object content-wise.
         assert result.report.minimized == serial.minimized
         assert result.report.first_violation_schedule == (
@@ -178,20 +134,5 @@ class TestFuzzDifferential:
             RacingConsensus(3), [0, 1, 1], KSetAgreementTask(1),
             runs=60, schedule_length=50, seed=2, workers=workers,
         )
-        assert_reports_identical(result.report, serial)
+        assert_identical(result.report, serial, "pump drain")
         assert result.report.clean
-
-
-@pytest.mark.usefixtures("pump_drain")
-class TestPumpSweepProtocolDifferential(TestSweepProtocolDifferential):
-    """The sweep-protocol grid, drained through a pump."""
-
-
-@pytest.mark.usefixtures("pump_drain")
-class TestPumpSweepSimulationDifferential(TestSweepSimulationDifferential):
-    """The sweep-simulation grid, drained through a pump."""
-
-
-@pytest.mark.usefixtures("pump_drain")
-class TestPumpFuzzDifferential(TestFuzzDifferential):
-    """The fuzz grid, drained through a pump."""

@@ -1,13 +1,12 @@
-"""Differential suite: sharded exploration equals serial exploration.
+"""Sharded exploration: the unit decomposition, the job's modes and
+the exploration context one job shares across chunks.
 
-For a grid of (protocol, instance, worker count, chunk size), the
-campaign engine's merged :class:`ExplorationReport` must equal a serial
-``explore_protocol`` call with the same ``prefix_depth`` field-for-field
-— including ``counterexample`` and ``truncated`` — and even as a byte
-string (``repr``).  Both truncated-racing (violating) and safe
-instances are covered, with ``stop_at_first_violation`` in both
-positions, so neither verdict path can drift between the serial and
-sharded explorers.
+That a sharded exploration's merged :class:`ExplorationReport` equals
+the serial ``explore_protocol`` call field-for-field and as a byte
+string (``repr``) is the ``sharded`` column of the differential matrix
+(tests/test_matrix.py): workers 1, 2 and 4, chunk sizes 1, 2, 4 and
+100, prefix depths 0–3, both ``stop_at_first_violation`` modes and
+symmetry reduction.
 """
 
 import gc
@@ -19,17 +18,14 @@ import weakref
 import pytest
 
 from repro.analysis import ExplorationContext, explore_protocol
-from repro.campaign import ExploreJob, explore_campaign, run_campaign
+from repro.campaign import ExploreJob, explore_campaign
 from repro.campaign.checkpoint import job_fingerprint
 from repro.protocols import (
-    AnonymousSweepConsensus,
     KSetAgreementTask,
     MinSeen,
     RacingConsensus,
     TruncatedProtocol,
 )
-
-WORKER_GRID = [1, 2, 4]
 
 
 def assert_reports_identical(parallel, serial):
@@ -39,126 +35,41 @@ def assert_reports_identical(parallel, serial):
 
 
 EXPLORE_CASES = [
-    # (protocol factory, inputs, task, bounds, expect_safe)
+    # (protocol factory, inputs, task, bounds)
     (lambda: TruncatedProtocol(RacingConsensus(3), 1), [0, 1, 2],
-     KSetAgreementTask(1), dict(max_configs=100_000, max_steps=20), False),
+     KSetAgreementTask(1), dict(max_configs=100_000, max_steps=20)),
     (lambda: RacingConsensus(2), [0, 1],
-     KSetAgreementTask(1), dict(max_configs=50_000, max_steps=14), True),
+     KSetAgreementTask(1), dict(max_configs=50_000, max_steps=14)),
     (lambda: MinSeen(2), [0, 1],
-     KSetAgreementTask(2), dict(max_configs=100_000, max_steps=None), True),
+     KSetAgreementTask(2), dict(max_configs=100_000, max_steps=None)),
 ]
 
 
 class TestExploreDifferential:
-    @pytest.mark.parametrize("case", range(len(EXPLORE_CASES)))
-    @pytest.mark.parametrize("workers", WORKER_GRID)
-    def test_matches_serial(self, case, workers):
-        make, inputs, task, bounds, expect_safe = EXPLORE_CASES[case]
-        serial = explore_protocol(
-            make(), inputs, task, prefix_depth=2, **bounds
-        )
-        result = explore_campaign(
-            make(), inputs, task, prefix_depth=2, workers=workers,
-            chunk_size=2, **bounds
-        )
-        assert_reports_identical(result.report, serial)
-        assert result.report.safe == expect_safe
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_collect_all_matches_serial(self, workers):
-        make, inputs, task, bounds, _ = EXPLORE_CASES[0]
-        serial = explore_protocol(
-            make(), inputs, task, prefix_depth=2,
-            stop_at_first_violation=False, **bounds
-        )
-        result = explore_campaign(
-            make(), inputs, task, prefix_depth=2,
-            stop_at_first_violation=False, workers=workers, chunk_size=3,
-            **bounds
-        )
-        assert_reports_identical(result.report, serial)
-        assert len(result.report.violations) >= 1
-        assert result.report.counterexample == serial.counterexample
-
-    @pytest.mark.parametrize("chunk_size", [1, 2, 4, 100])
-    def test_chunking_invariant(self, chunk_size):
-        make, inputs, task, bounds, _ = EXPLORE_CASES[0]
-        serial = explore_protocol(
-            make(), inputs, task, prefix_depth=2, **bounds
-        )
-        result = explore_campaign(
-            make(), inputs, task, prefix_depth=2, workers=2,
-            chunk_size=chunk_size, **bounds
-        )
-        assert_reports_identical(result.report, serial)
-
-    @pytest.mark.parametrize("prefix_depth", [0, 1, 2, 3])
-    def test_prefix_depth_grid_matches_serial(self, prefix_depth):
-        make, inputs, task, bounds, _ = EXPLORE_CASES[1]
-        serial = explore_protocol(
-            make(), inputs, task, prefix_depth=prefix_depth, **bounds
-        )
-        result = explore_campaign(
-            make(), inputs, task, prefix_depth=prefix_depth, workers=2,
-            chunk_size=1, **bounds
-        )
-        assert_reports_identical(result.report, serial)
+    """serial == sharded over every worker count, chunk size, prefix
+    depth and stop mode is the ``sharded`` column of the differential
+    matrix (tests/test_matrix.py); what stays here is the unit count it
+    shards."""
 
     def test_job_units_cover_prefix_tree(self):
-        make, inputs, task, bounds, _ = EXPLORE_CASES[0]
+        make, inputs, task, bounds = EXPLORE_CASES[0]
         job = ExploreJob(
             protocol=make(), inputs=tuple(inputs), task=task,
             prefix_depth=2, **bounds
         )
-        # 3 undecided processes → 9 depth-2 prefixes; run_campaign over
-        # those units reproduces the serial report.
+        # 3 undecided processes → 9 depth-2 prefixes; the matrix cell
+        # explore:truncated/sharded-2 runs this job in chunks of 2 and
+        # matches the serial report.
         assert job.total_units() == 9
-        serial = explore_protocol(
-            make(), inputs, task, prefix_depth=2, **bounds
-        )
-        result = run_campaign(job, workers=2, chunk_size=2)
-        assert_reports_identical(result.report, serial)
 
 
 class TestModeDifferential:
-    """serial == sharded must survive symmetry reduction: the campaign
-    engine threads ``symmetry`` through
-    :class:`~repro.campaign.jobs.ExploreJob` into every worker, and the
-    merged report must stay byte-identical to a serial run in the same
-    mode."""
-
-    @pytest.mark.parametrize("workers", WORKER_GRID)
-    def test_symmetry_sharded_matches_symmetry_serial(self, workers):
-        protocol = AnonymousSweepConsensus(3, m=2)
-        inputs, task = [0, 1, 1], KSetAgreementTask(1)
-        bounds = dict(max_configs=300_000, max_steps=12)
-        serial = explore_protocol(
-            protocol, inputs, task, prefix_depth=2, symmetry=True,
-            **bounds
-        )
-        result = explore_campaign(
-            protocol, inputs, task, prefix_depth=2, workers=workers,
-            chunk_size=2, symmetry=True, **bounds
-        )
-        assert_reports_identical(result.report, serial)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_symmetry_on_identity_protocol_is_inert_sharded(self, workers):
-        make, inputs, task, bounds, _ = EXPLORE_CASES[1]
-        plain = explore_campaign(
-            make(), inputs, task, prefix_depth=2, workers=workers,
-            chunk_size=2, **bounds
-        )
-        requested = explore_campaign(
-            make(), inputs, task, prefix_depth=2, workers=workers,
-            chunk_size=2, symmetry=True, **bounds
-        )
-        assert_reports_identical(requested.report, plain.report)
+    """The campaign engine threads ``symmetry`` through
+    :class:`~repro.campaign.jobs.ExploreJob` into every worker (the
+    matrix's ``explore:<name>+symmetry`` rows check the reports)."""
 
     def test_explore_job_carries_modes_into_checkpoint_fingerprint(self):
-        from repro.campaign.checkpoint import job_fingerprint
-
-        make, inputs, task, bounds, _ = EXPLORE_CASES[1]
+        make, inputs, task, bounds = EXPLORE_CASES[1]
         jobs = [
             ExploreJob(protocol=make(), inputs=tuple(inputs), task=task,
                        prefix_depth=2, **bounds),
@@ -186,7 +97,7 @@ def built_contexts(monkeypatch):
 
 
 def _job(case=1):
-    make, inputs, task, bounds, _ = EXPLORE_CASES[case]
+    make, inputs, task, bounds = EXPLORE_CASES[case]
     return ExploreJob(protocol=make(), inputs=tuple(inputs), task=task,
                       prefix_depth=2, **bounds)
 
@@ -198,7 +109,7 @@ class TestSharedContext:
     one, and none of it leaks into the job's pickle or fingerprint."""
 
     def test_inprocess_campaign_builds_one_context(self, built_contexts):
-        make, inputs, task, bounds, _ = EXPLORE_CASES[1]
+        make, inputs, task, bounds = EXPLORE_CASES[1]
         serial = explore_protocol(
             make(), inputs, task, prefix_depth=2, **bounds
         )
@@ -217,7 +128,7 @@ class TestSharedContext:
     ):
         """The gate flips the job into certificate mode before counting
         its units, so the count and every chunk share one context."""
-        make, inputs, task, bounds, _ = EXPLORE_CASES[0]
+        make, inputs, task, bounds = EXPLORE_CASES[0]
         plain = explore_campaign(
             make(), inputs, task, prefix_depth=2, workers=1,
             chunk_size=1, **bounds
@@ -276,7 +187,7 @@ class TestSharedContext:
 
     def test_at_most_one_context_per_thread_survives(self, built_contexts):
         for case in (0, 1, 2, 1, 0):
-            make, inputs, task, bounds, _ = EXPLORE_CASES[case]
+            make, inputs, task, bounds = EXPLORE_CASES[case]
             explore_campaign(
                 make(), inputs, task, prefix_depth=2, workers=1,
                 chunk_size=2, **bounds

@@ -4,11 +4,12 @@ The pump is the tentpole seam the service stands on, so the tests here
 are differential: drive a campaign chunk-by-chunk (with failures and
 retries, across a simulated crash) and demand the finalized
 :class:`~repro.campaign.engine.CampaignResult` match what
-``run_campaign`` produces for the same job.  In-order and out-of-order
-drains over the sweep and fuzz grids, against the serial harness, live
-in ``test_differential.py``; a reverse-order drain of every registry
-target is the differential matrix's ``pump-reversed`` column
-(``tests/test_matrix.py``).
+``run_campaign`` produces for the same job.  Drains of every matrix row
+against the serial harness are differential matrix columns
+(``tests/test_matrix.py``): in hand-out order ``sharded-1``,
+``kill-resume`` and ``torn-resume``, in reverse ``pump-reversed``;
+the sweep and fuzz campaigns drained at 1, 2 and 4 workers, in either
+order, are in ``test_differential.py``.
 """
 
 import pytest
